@@ -8,8 +8,9 @@ is what the samplers see.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import integrate
@@ -24,6 +25,7 @@ from .cayley import (
     cayley_forward_stiefel,
     grassmann_domain_margin,
 )
+from .errors import ConditioningError
 from .jacobian import (
     derivative_stiefel,
     grad_log_jacobian_stiefel,
@@ -50,12 +52,13 @@ Point = Union[StiefelPoint, GrassmannPoint]
 class LogDensity:
     """A log density (up to a constant) on one of the two manifolds.
 
-    `grad_fn`, when given, returns the p x k matrix of partial derivatives
-    of the log density with respect to the entries of Q; it enables
-    gradient-based proposals in the samplers.
+    `fn` is None for the constant density, the uniform distribution, whose
+    pullback is the log-Jacobian alone. `grad_fn`, when given, returns the
+    p x k matrix of partial derivatives of the log density with respect to
+    the entries of Q; it enables gradient-based proposals in the samplers.
     """
 
-    fn: Callable[[Point], float]
+    fn: Optional[Callable[[Point], float]]
     manifold: str  # "stiefel" | "grassmann"
     name: str = "custom"
     grad_fn: Callable[[Point], np.ndarray] = None
@@ -65,12 +68,12 @@ class LogDensity:
             raise ValueError(f"unknown manifold tag {self.manifold!r}")
 
     def __call__(self, point: Point) -> float:
-        return float(self.fn(point))
+        return 0.0 if self.fn is None else float(self.fn(point))
 
 
 def uniform_log_density(manifold: str = "stiefel") -> LogDensity:
     """The constant-zero log density: the uniform distribution."""
-    return LogDensity(fn=lambda point: 0.0, manifold=manifold, name="uniform",
+    return LogDensity(fn=None, manifold=manifold, name="uniform",
                       grad_fn=lambda point: np.zeros_like(point.Q))
 
 
@@ -139,28 +142,28 @@ def pullback_log_density(g: LogDensity, coords: Coords) -> float:
 
     Grassmann coordinates outside the eigenvalue domain get -inf (so a
     Metropolis proposal there is rejected naturally); numerical failures
-    inside the domain raise instead of masking bugs as rejections.
+    inside the domain, a NaN value among them, raise ConditioningError
+    instead of masking bugs as rejections.
     """
     if isinstance(coords, StiefelCoords):
         if g.manifold != "stiefel":
             raise ValueError("Stiefel coordinates require a Stiefel target")
         log_j = log_jacobian_stiefel(coords)
-        if g.name == "uniform":
-            # Constant manifold density: the pullback is the Jacobian alone.
-            return log_j
-        point: Point = cayley_forward_stiefel(coords)
+        forward = cayley_forward_stiefel
     elif isinstance(coords, GrassmannCoords):
         if g.manifold != "grassmann":
             raise ValueError("Grassmann coordinates require a Grassmann target")
         if grassmann_domain_margin(coords) <= 0:
             return -np.inf
         log_j = log_jacobian_block_grassmann(coords)
-        if g.name == "uniform":
-            return log_j
-        point = cayley_forward_grassmann(coords)
+        forward = cayley_forward_grassmann
     else:
         raise TypeError(f"unsupported coordinate type {type(coords)!r}")
-    return g(point) + log_j
+    # A constant manifold density (fn unset) pulls back to the Jacobian alone.
+    value = log_j if g.fn is None else g(forward(coords)) + log_j
+    if math.isnan(value):
+        raise ConditioningError("pullback_log_density: log target is NaN")
+    return value
 
 
 class PullbackTarget:
@@ -213,7 +216,7 @@ class PullbackTarget:
             raise ValueError("no analytic gradient available for this target")
         coords = self.coords(vector)
         grad = grad_log_jacobian_stiefel(coords)
-        if self.g.name != "uniform":
+        if self.g.fn is not None:
             point = cayley_forward_stiefel(coords)
             D = derivative_stiefel(coords).matrix
             grad = grad + D.T @ self.g.grad_fn(point).reshape(-1, order="F")

@@ -1,12 +1,10 @@
 """Derivative matrices of the Cayley maps and log-Jacobian evaluation.
 
-Two routes are provided for the change-of-variables term:
-
-* the naive route: assemble the full pk x d derivative matrix and take
-  (1/2) log det(D^T D) -- the authoritative definition, used as oracle;
-* the block route: evaluate the same quantity from the k x k / (p-k) x (p-k)
-  blocks of (I - X)^{-1}, never forming anything of size p^2. This is the
-  path used in the samplers.
+One route per manifold runs in production: on V(k,p) the closed form in the
+k x k block S = I - B + A^T A, with an analytic gradient; on G(k,p) a
+low-rank determinant-lemma route that never forms anything of size p^2.
+The naive (1/2) log det(D^T D) from the full pk x d derivative matrix D is
+the authoritative definition and the oracle for both.
 
 Everything is in log scale; the raw Jacobian contains a factor 2^{d} that
 overflows doubles for moderate p*k.
@@ -17,23 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cayley import GrassmannCoords, StiefelCoords, grassmann_domain_margin
 from .errors import ConditioningError, DomainError
-from .special_matrices import dtilde_matrix
+from .special_matrices import coordinate_pairs, transpose_perm, vech_strict
 
 __all__ = [
     "DerivativeMatrix",
-    "JacobianBlocks",
     "derivative_stiefel",
     "derivative_grassmann",
     "log_jacobian_naive",
-    "jacobian_blocks_stiefel",
-    "log_jacobian_dense_blocks_stiefel",
     "log_jacobian_stiefel",
-    "grad_log_jacobian_stiefel",
     "log_jacobian_block_stiefel",
+    "grad_log_jacobian_stiefel",
     "log_jacobian_block_grassmann",
 ]
 
@@ -55,28 +49,6 @@ class DerivativeMatrix:
         object.__setattr__(self, "matrix", M)
 
 
-@dataclass(frozen=True)
-class JacobianBlocks:
-    """Blocks of (I - X)^{-1} and the derived G, H, Omega blocks."""
-
-    C11: np.ndarray
-    C12: np.ndarray
-    C21: np.ndarray
-    C22: np.ndarray
-    G11: np.ndarray
-    G12: np.ndarray
-    G21: np.ndarray
-    G22: np.ndarray
-    H11: np.ndarray
-    H12: np.ndarray
-    H21: np.ndarray
-    H22: np.ndarray
-    Omega11: np.ndarray
-    Omega12: np.ndarray
-    Omega21: np.ndarray
-    Omega22: np.ndarray
-
-
 def _resolvent_blocks(A: np.ndarray, B: np.ndarray, p: int, k: int):
     """Blocks of (I_p - X)^{-1} for X = [[B, -A^T], [A, 0]].
 
@@ -96,23 +68,6 @@ def _resolvent_blocks(A: np.ndarray, B: np.ndarray, p: int, k: int):
     return C11, C12, C21, C22
 
 
-def _coordinate_pairs(p: int, k: int, grassmann: bool):
-    """For each coordinate, the (row, col) position of the +1 in the skew embedding.
-
-    The partner -1 sits at the transposed position. Order matches the
-    coordinate layout of StiefelCoords / GrassmannCoords.
-    """
-    pairs = []
-    if not grassmann:
-        for j in range(k):
-            for i in range(j + 1, k):
-                pairs.append((i, j))
-    for j in range(k):
-        for i in range(p - k):
-            pairs.append((k + i, j))
-    return pairs
-
-
 def _derivative(A: np.ndarray, B: np.ndarray, p: int, k: int, grassmann: bool) -> np.ndarray:
     """Assemble DC = 2 [I_{pxk}^T C^T kron C] Gamma column by column.
 
@@ -123,9 +78,9 @@ def _derivative(A: np.ndarray, B: np.ndarray, p: int, k: int, grassmann: bool) -
     C11, C12, C21, C22 = _resolvent_blocks(A, B, p, k)
     C = np.block([[C11, C12], [C21, C22]])
     CIk = C[:, :k]
-    pairs = _coordinate_pairs(p, k, grassmann)
+    pairs = coordinate_pairs(p, k)[k * (k - 1) // 2 if grassmann else 0:]
     D = np.empty((p * k, len(pairs)))
-    for col, (r, c) in enumerate(pairs):
+    for col, (r, c) in enumerate(pairs.tolist()):
         M = np.outer(C[:, r], CIk[c, :]) - np.outer(C[:, c], CIk[r, :])
         D[:, col] = 2.0 * M.reshape(-1, order="F")
     return D
@@ -148,31 +103,22 @@ def derivative_grassmann(psi: GrassmannCoords) -> DerivativeMatrix:
     return DerivativeMatrix(p=dims.p, k=dims.k, matrix=D)
 
 
-def _logdet_spd(M: np.ndarray, context: str) -> float:
-    """log det of a symmetric positive definite matrix via Cholesky.
-
-    Falls back to a symmetric eigendecomposition if Cholesky fails at
-    working precision; errors if indefiniteness persists.
-    """
-    if M.size == 0:
-        return 0.0
-    try:
-        L = np.linalg.cholesky(0.5 * (M + M.T))
-        return 2.0 * float(np.sum(np.log(np.diag(L))))
-    except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(0.5 * (M + M.T))
-        if w.min() <= 0:
-            raise ConditioningError(f"{context}: matrix not positive definite (min eig {w.min():.3e})")
-        return float(np.sum(np.log(w)))
-
-
 def log_jacobian_naive(D: DerivativeMatrix) -> float:
-    """(1/2) log det(D^T D); the authoritative Jacobian definition."""
-    M = D.matrix
+    """(1/2) log det(D^T D); the authoritative Jacobian definition.
+
+    Cholesky first, and a symmetric eigendecomposition if that fails at
+    working precision; a rank-deficient D raises.
+    """
+    M = D.matrix.T @ D.matrix
+    M = 0.5 * (M + M.T)
     try:
-        return 0.5 * _logdet_spd(M.T @ M, "log_jacobian_naive")
-    except ConditioningError:
-        raise ConditioningError("log_jacobian_naive: derivative matrix is rank deficient")
+        return float(np.sum(np.log(np.diag(np.linalg.cholesky(M)))))
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(M)
+        if w.min() <= 0:
+            raise ConditioningError("log_jacobian_naive: derivative matrix is rank deficient "
+                                    f"(min eig {w.min():.3e})")
+        return 0.5 * float(np.sum(np.log(w)))
 
 
 def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -182,82 +128,30 @@ def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
-def _transpose_perm(m: int, n: int) -> np.ndarray:
-    """Column permutation realizing right-multiplication by K_{m,n}."""
-    s = np.arange(m * n)
-    return (s % m) * n + s // m
+def _log_jacobian_lowrank(A: np.ndarray, p: int, k: int) -> float:
+    """Grassmann log-Jacobian without ever forming a (p-k)k-dimensional matrix.
 
-
-def _omega_blocks(A: np.ndarray, B: np.ndarray, p: int, k: int) -> JacobianBlocks:
-    """All sixteen blocks of the block-structured Jacobian evaluation."""
-    C11, C12, C21, C22 = _resolvent_blocks(A, B, p, k)
-
-    G11 = C11 @ C11.T
-    G12 = C11 @ C21.T
-    G21 = C21 @ C11.T
-    G22 = C21 @ C21.T
-
-    H11 = C11.T @ C11 + C21.T @ C21
-    H12 = C11.T @ C12 + C21.T @ C22
-    H21 = C12.T @ C11 + C22.T @ C21
-    H22 = C12.T @ C12 + C22.T @ C22
-
-    # The commutation matrix K_{p-k,k} acts as a column permutation.
-    perm = _transpose_perm(p - k, k)
-    Omega22 = _kron(G11, H22) + _kron(H11, G22)
-    cross = _kron(G12, H21) + _kron(H12, G21)
-    Omega22 -= cross[:, perm]
-
-    n_b = k * (k - 1) // 2
-    if n_b > 0:
-        Dt = dtilde_matrix(k).toarray().astype(float)
-        Omega11 = Dt.T @ _kron(G11, H11) @ Dt
-        M12 = _kron(G11, H12) - _kron(G12, H11)[:, perm]
-        Omega12 = Dt.T @ M12
-    else:
-        Omega11 = np.zeros((0, 0))
-        Omega12 = np.zeros((0, (p - k) * k))
-    Omega21 = Omega12.T
-
-    return JacobianBlocks(
-        C11=C11, C12=C12, C21=C21, C22=C22,
-        G11=G11, G12=G12, G21=G21, G22=G22,
-        H11=H11, H12=H12, H21=H21, H22=H22,
-        Omega11=Omega11, Omega12=Omega12, Omega21=Omega21, Omega22=Omega22,
-    )
-
-
-def jacobian_blocks_stiefel(phi: StiefelCoords) -> JacobianBlocks:
-    """Blocks of the Jacobian evaluation at Stiefel coordinates."""
-    dims = phi.dims
-    return _omega_blocks(phi.a_matrix(), phi.b_matrix(), dims.p, dims.k)
-
-
-def _log_jacobian_lowrank(A: np.ndarray, B: np.ndarray, p: int, k: int,
-                          grassmann: bool) -> float:
-    """Log-Jacobian without ever forming a (p-k)k-dimensional matrix.
-
-    The large block factors as Omega22 = G11 kron I + (I kron A) W (I kron A)^T
-    with W of size k^2: every off-corner block of G and H carries A on the
-    outside (G12 = G11 A^T, H22 = I + A N A^T, ...). The determinant lemma
-    turns log det(Omega22) into (p-k) log det(G11) plus a k^2-sized
-    determinant, and the Woodbury identity gives the Schur-complement solve
-    at the same size. Total cost O(p k^2 + k^6).
+    With B = 0 the quadratic form D^T D / 4 is the single block Omega22, which
+    factors as G11 kron I + (I kron A) W (I kron A)^T with W of size k^2:
+    every off-corner block of G and H carries A on the outside (G12 =
+    G11 A^T, H22 = I + A N A^T, ...). The determinant lemma turns
+    log det(Omega22) into (p-k) log det(G11) plus a k^2-sized determinant,
+    and log J = d_G log 2 + (1/2) log det(Omega22). Cost O(p k^2 + k^6).
     """
     Ik = np.eye(k)
     AtA = A.T @ A
-    S = Ik - B + AtA
+    S = Ik + AtA
     sign_s, logabsdet_s = np.linalg.slogdet(S)
     if sign_s == 0:
         raise ConditioningError("log_jacobian: singular resolvent block")
     C11 = np.linalg.solve(S, Ik)
 
     G11 = C11 @ C11.T
-    H11 = C11.T @ (Ik + AtA) @ C11
-    R = C11.T @ (Ik - (Ik + AtA) @ C11)
+    H11 = C11.T @ S @ C11
+    R = C11.T @ (Ik - S @ C11)
     N = H11 - C11 - C11.T
 
-    kk_perm = _transpose_perm(k, k)
+    kk_perm = transpose_perm(k, k)
     W = _kron(G11, N) + _kron(H11, G11)
     W -= (_kron(G11, R.T) + _kron(R, G11))[:, kk_perm]
 
@@ -268,65 +162,15 @@ def _log_jacobian_lowrank(A: np.ndarray, B: np.ndarray, p: int, k: int,
     if sign_c <= 0:
         raise ConditioningError("log_jacobian: large block not positive definite")
     logdet22 = -2.0 * (p - k) * logabsdet_s + logabsdet_c
-
-    n_b = 0 if grassmann else k * (k - 1) // 2
-    d = (p - k) * k + n_b
-    if n_b == 0:
-        return float(d * LOG2 + 0.5 * logdet22)
-
-    Dt = dtilde_matrix(k).toarray().astype(float)
-    Omega11 = Dt.T @ _kron(G11, H11) @ Dt
-    V = Dt.T @ (_kron(G11, R) - _kron(G11, H11)[:, kk_perm])
-    # V (U^T Omega22^{-1} U) V^T with U = I kron A, via Woodbury:
-    # U^T Omega22^{-1} U = T - T W (I + T W)^{-1} T.
-    middle = T - T @ W @ np.linalg.solve(np.eye(k * k) + T @ W, T)
-    schur = Omega11 - V @ middle @ V.T
-    return float(d * LOG2 + 0.5 * (logdet22 + _logdet_spd(schur, "log_jacobian: Schur complement")))
-
-
-def _log_jacobian_from_blocks(blocks: JacobianBlocks, d: int) -> float:
-    """d log 2 + (1/2) log det(Omega) via Omega22 and its Schur complement.
-
-    Omega22 is factored once; the factor serves both its log-determinant
-    and the Schur-complement solve.
-    """
-    O22 = blocks.Omega22
-    try:
-        cho = scipy.linalg.cho_factor(O22, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        logdet = _logdet_spd(O22, "log_jacobian_block: Omega22")
-        cho = None
-    else:
-        logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    if blocks.Omega11.shape[0] > 0:
-        if cho is not None:
-            solved = scipy.linalg.cho_solve(cho, blocks.Omega21, check_finite=False)
-        else:
-            solved = np.linalg.solve(0.5 * (O22 + O22.T), blocks.Omega21)
-        schur = blocks.Omega11 - blocks.Omega12 @ solved
-        logdet += _logdet_spd(schur, "log_jacobian_block: Schur complement")
-    return d * LOG2 + 0.5 * logdet
-
-
-def log_jacobian_block_stiefel(phi: StiefelCoords) -> float:
-    """Log-Jacobian of the Stiefel Cayley map via the block path."""
-    dims = phi.dims
-    return _log_jacobian_lowrank(phi.a_matrix(), phi.b_matrix(), dims.p, dims.k,
-                                 grassmann=False)
+    return float((p - k) * k * LOG2 + 0.5 * logdet22)
 
 
 def log_jacobian_block_grassmann(psi: GrassmannCoords) -> float:
-    """Log-Jacobian of the Grassmann Cayley map via the block path.
-
-    With no skew block, only the Omega22-type term survives:
-    log J = d_G log 2 + (1/2) log det(Omega22 at B = 0).
-    """
+    """Log-Jacobian of the Grassmann Cayley map via the low-rank route."""
     if grassmann_domain_margin(psi) <= 0:
         raise DomainError("log_jacobian_block_grassmann: coordinates outside the eigenvalue domain")
     dims = psi.dims
-    zero_b = np.zeros((dims.k, dims.k))
-    return _log_jacobian_lowrank(psi.a_matrix(), zero_b, dims.p, dims.k,
-                                 grassmann=True)
+    return _log_jacobian_lowrank(psi.a_matrix(), dims.p, dims.k)
 
 
 def log_jacobian_stiefel(phi: StiefelCoords) -> float:
@@ -337,9 +181,9 @@ def log_jacobian_stiefel(phi: StiefelCoords) -> float:
         log J = (d_V + k(k-1)/4) log 2 - (p-1) log det(I_k - B + A^T A),
 
     where det(I - B + A^T A) is always positive (symmetric part positive
-    definite). Agrees with the naive and block evaluations to machine
-    precision; this is the cheapest route and the one with a tractable
-    gradient. The subspace parametrization admits no analogous reduction.
+    definite). Agrees with the naive evaluation to machine precision and
+    has a tractable gradient. The subspace parametrization admits no
+    analogous reduction.
     """
     dims = phi.dims
     A = phi.a_matrix()
@@ -350,6 +194,11 @@ def log_jacobian_stiefel(phi: StiefelCoords) -> float:
     if sign <= 0:
         raise ConditioningError("log_jacobian_stiefel: resolvent block not orientation-preserving")
     return float((dims.d_v + k * (k - 1) / 4.0) * LOG2 - (dims.p - 1) * logabsdet)
+
+
+# The Stiefel route is the closed form; the name is kept for callers of the
+# block-route API.
+log_jacobian_block_stiefel = log_jacobian_stiefel
 
 
 def grad_log_jacobian_stiefel(phi: StiefelCoords) -> np.ndarray:
@@ -366,17 +215,6 @@ def grad_log_jacobian_stiefel(phi: StiefelCoords) -> np.ndarray:
     S = np.eye(k) - B + A.T @ A
     P = np.linalg.solve(S, np.eye(k))
     coeff = -(dims.p - 1)
-    grad_b = np.array([coeff * (P[i, j] - P[j, i])
-                       for j in range(k) for i in range(j + 1, k)])
+    grad_b = coeff * vech_strict(P - P.T)
     grad_a = coeff * (A @ (P + P.T))
     return np.concatenate([grad_b, grad_a.reshape(-1, order="F")])
-
-
-def log_jacobian_dense_blocks_stiefel(phi: StiefelCoords) -> float:
-    """Log-Jacobian from the explicitly assembled Omega blocks.
-
-    Slower than the factored path for large p; kept as an independent
-    intermediate between the naive and factored evaluations.
-    """
-    blocks = jacobian_blocks_stiefel(phi)
-    return _log_jacobian_from_blocks(blocks, phi.dims.d_v)

@@ -4,7 +4,10 @@ The chain lives in the unconstrained (Stiefel) or eigenvalue-constrained
 (Grassmann) coordinate space; draws are mapped back to orthogonal matrices
 with the forward Cayley transform. Proposals are isotropic Gaussian random
 walks (optionally with separate scales for the skew-block and A-block
-coordinates) or a finite-difference leapfrog variant.
+coordinates) or leapfrog trajectories. Leapfrog uses the target's analytic
+gradient where it has one (Stiefel targets with a `grad_fn`) and central
+finite differences otherwise (Grassmann targets, and Stiefel targets
+without a `grad_fn`).
 
 Randomness comes from numpy's PCG64 generator seeded explicitly, so runs
 are deterministic given (seed, config, target).
@@ -151,10 +154,11 @@ def _gradient(target: PullbackTarget, x: np.ndarray, h: float) -> np.ndarray:
 
 def leapfrog_step(state: ChainState, target: PullbackTarget, proposal: ProposalConfig,
                   rng: np.random.Generator, scale: Optional[float] = None) -> ChainState:
-    """One Hamiltonian proposal with finite-difference gradients.
+    """One Hamiltonian proposal.
 
     Standard leapfrog with unit mass matrix and step size `scale`,
-    Metropolis-corrected on the total energy.
+    Metropolis-corrected on the total energy. Gradients are analytic when
+    the target has one and central finite differences otherwise.
     """
     if proposal.kind != "leapfrog":
         raise ValueError("leapfrog_step requires proposal.kind == 'leapfrog'")

@@ -1,26 +1,27 @@
-"""Structural integer matrices underlying the derivative and Jacobian formulas.
+"""The coordinate layout and the structural integer matrices built from it.
 
-All constructions here are exact: entries are -1, 0, or +1 and the defining
-identities (commutation of vec and transpose, skew reconstruction, skew block
-embedding) hold in integer arithmetic. The matrices are kept in sparse index
-form because their dense versions have dimension p^2 x p^2-ish and become
-unusable well before p reaches interesting sizes; `toarray` exists for small
-test oracles only.
+Two cached index tables, `coordinate_pairs` (where each coordinate sits in
+the skew embedding) and `transpose_perm` (vec versus transpose), generate
+everything else here. The matrices have entries -1, 0, +1 and are kept as
+index arrays; `toarray` exists for small test oracles only.
 
 Vectorization is column-major (Fortran order) throughout the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "vec",
     "unvec",
-    "PermutationMap",
-    "SparseSignMatrix",
+    "coordinate_pairs",
+    "transpose_perm",
+    "SignedIndexMatrix",
     "commutation_matrix",
     "dtilde_matrix",
     "vech_strict",
@@ -40,121 +41,104 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.asarray(v).reshape((rows, cols), order="F")
 
 
-@dataclass(frozen=True)
-class PermutationMap:
-    """A permutation of {0, ..., size-1} stored as a target-index table.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    ``apply(v)[target_index[i]] == v[i]``. For the commutation matrix
-    K_{m,n} this sends vec(A) to vec(A^T).
+
+@lru_cache(maxsize=None)
+def coordinate_pairs(p: int, k: int) -> np.ndarray:
+    """Row l is the (row, col) of coordinate l's +1 in X = [[B, -A^T], [A, 0]].
+
+    The -1 sits at the transposed position. Stiefel order is the k(k-1)/2
+    strictly subdiagonal entries of the k x k block B, column-major, then
+    vec(A); the Grassmann layout is the tail after them. With p = k the
+    table is the strict subdiagonal of a k x k matrix.
     """
+    if not (0 <= k <= p):
+        raise ValueError(f"coordinate_pairs requires 0 <= k <= p, got p={p}, k={k}")
+    # The upper triangle in row-major order, transposed, is the strict lower
+    # triangle in column-major order.
+    b_cols, b_rows = np.triu_indices(k, 1)
+    a_rows, a_cols = np.unravel_index(np.arange((p - k) * k), (p - k, k), order="F")
+    rows = np.concatenate([b_rows, k + a_rows])
+    cols = np.concatenate([b_cols, a_cols])
+    return _frozen(np.stack([rows, cols], axis=1).astype(np.int64))
 
-    size: int
-    target_index: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.target_index) != self.size:
-            raise ValueError("target_index length must equal size")
-        if sorted(self.target_index) != list(range(self.size)):
-            raise ValueError("target_index must be a bijection on {0,...,size-1}")
+@lru_cache(maxsize=None)
+def transpose_perm(m: int, n: int) -> np.ndarray:
+    """Position in vec(A^T) of entry s of vec(A), for m x n A.
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if v.shape[0] != self.size:
-            raise ValueError(f"vector length {v.shape[0]} != permutation size {self.size}")
-        out = np.empty_like(v)
-        out[np.asarray(self.target_index)] = v
-        return out
-
-    def column_permutation(self) -> np.ndarray:
-        """Indices q such that (M @ P)[:, j] == M[:, q[j]] for this map P."""
-        return np.asarray(self.target_index)
-
-    def toarray(self) -> np.ndarray:
-        P = np.zeros((self.size, self.size), dtype=np.int64)
-        P[np.asarray(self.target_index), np.arange(self.size)] = 1
-        return P
+    Also the column permutation of right-multiplication by K_{m,n}:
+    (M @ K_{m,n})[:, s] == M[:, transpose_perm(m, n)[s]].
+    """
+    s = np.arange(m * n)
+    return _frozen((s % m) * n + s // m)
 
 
 @dataclass(frozen=True)
-class SparseSignMatrix:
-    """Sparse matrix whose stored entries are all +1 or -1.
+class SignedIndexMatrix:
+    """A rows x len(plus) matrix whose column j is e_plus[j] - e_minus[j].
 
-    `entries` holds (row, col, value) triples with at most one triple per
-    position. Columns are the natural unit of access here: every column of
-    the Gamma matrices touches one or two positions of the embedded skew
-    matrix, and the derivative assembly iterates column by column.
+    `minus` is omitted for a permutation matrix. Every row index appears at
+    most once across `plus` and `minus`, so a product is a scatter.
     """
 
     rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
-    _by_column: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
+    plus: np.ndarray
+    minus: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        seen = set()
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
-        for r, c, v in self.entries:
-            if v not in (-1, 1):
-                raise ValueError(f"entry value {v} not in {{-1, +1}}")
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry position ({r}, {c}) out of bounds")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            seen.add((r, c))
-            cols[c].append((r, v))
-        object.__setattr__(self, "_by_column", tuple(tuple(c) for c in cols))
-
-    def column_entries(self, j: int) -> tuple[tuple[int, int], ...]:
-        """(row, sign) pairs of the nonzeros in column j."""
-        return self._by_column[j]
+    @property
+    def cols(self) -> int:
+        return self.plus.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.cols:
-            raise ValueError(f"vector length {x.shape[0]} != cols {self.cols}")
+        if x.shape != (self.cols,):
+            raise ValueError(f"vector shape {x.shape} != ({self.cols},)")
         out = np.zeros(self.rows)
-        for j, col in enumerate(self._by_column):
-            for r, s in col:
-                out[r] += s * x[j]
+        out[self.plus] = x
+        if self.minus is not None:
+            out[self.minus] = -x
         return out
+
+    apply = matvec
 
     def toarray(self) -> np.ndarray:
         M = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for r, c, v in self.entries:
-            M[r, c] = v
+        j = np.arange(self.cols)
+        M[self.plus, j] = 1
+        if self.minus is not None:
+            M[self.minus, j] = -1
         return M
 
 
-def commutation_matrix(m: int, n: int) -> PermutationMap:
+def commutation_matrix(m: int, n: int) -> SignedIndexMatrix:
     """The mn x mn permutation with K_{m,n} vec(A) = vec(A^T) for m x n A."""
     if m < 1 or n < 1:
         raise ValueError("commutation_matrix requires m >= 1 and n >= 1")
-    target = np.empty(m * n, dtype=np.int64)
-    for j in range(n):
-        for i in range(m):
-            # vec(A) position of A[i, j] maps to vec(A^T) position of A^T[j, i]
-            target[j * m + i] = i * n + j
-    return PermutationMap(size=m * n, target_index=tuple(int(t) for t in target))
+    return SignedIndexMatrix(rows=m * n, plus=transpose_perm(m, n))
 
 
-def _subdiag_pairs(n: int):
-    """Strictly subdiagonal (i, j) index pairs, column-major order."""
-    return [(i, j) for j in range(n) for i in range(j + 1, n)]
+def _skew_embedding(p: int, pairs: np.ndarray) -> SignedIndexMatrix:
+    """Columns +1 at vec position (r, c) and -1 at (c, r) of a p x p matrix."""
+    r, c = pairs.T
+    return SignedIndexMatrix(rows=p * p, plus=c * p + r, minus=r * p + c)
 
 
-def dtilde_matrix(n: int) -> SparseSignMatrix:
-    """The n^2 x n(n-1)/2 matrix with D~_n vtilde(A) = vec(A) for skew A.
-
-    Column l corresponds to the l-th strictly subdiagonal position (i, j),
-    placing +1 at vec position of (i, j) and -1 at that of (j, i).
-    """
+def dtilde_matrix(n: int) -> SignedIndexMatrix:
+    """The n^2 x n(n-1)/2 matrix with D~_n vtilde(A) = vec(A) for skew A."""
     if n < 1:
         raise ValueError("dtilde_matrix requires n >= 1")
-    entries = []
-    for l, (i, j) in enumerate(_subdiag_pairs(n)):
-        entries.append((j * n + i, l, 1))
-        entries.append((i * n + j, l, -1))
-    return SparseSignMatrix(rows=n * n, cols=n * (n - 1) // 2, entries=tuple(entries))
+    return _skew_embedding(n, coordinate_pairs(n, n))
+
+
+@lru_cache(maxsize=None)
+def _subdiag_flat(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major flat positions of the table's (r, c) and of (c, r) in an n x n matrix."""
+    r, c = coordinate_pairs(n, n).T
+    return _frozen(r * n + c), _frozen(c * n + r)
 
 
 def vech_strict(M: np.ndarray) -> np.ndarray:
@@ -162,8 +146,7 @@ def vech_strict(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"vech_strict requires a square matrix, got shape {M.shape}")
-    n = M.shape[0]
-    return np.array([M[i, j] for i, j in _subdiag_pairs(n)])
+    return M.reshape(-1)[_subdiag_flat(M.shape[0])[0]]
 
 
 def skew_from_vech(b: np.ndarray, n: int) -> np.ndarray:
@@ -172,11 +155,11 @@ def skew_from_vech(b: np.ndarray, n: int) -> np.ndarray:
     expected = n * (n - 1) // 2
     if b.shape != (expected,):
         raise ValueError(f"expected vector of length {expected} for n={n}, got shape {b.shape}")
-    B = np.zeros((n, n))
-    for l, (i, j) in enumerate(_subdiag_pairs(n)):
-        B[i, j] = b[l]
-        B[j, i] = -b[l]
-    return B
+    lower, upper = _subdiag_flat(n)
+    B = np.zeros(n * n)
+    B[lower] = b
+    B[upper] = -b
+    return B.reshape(n, n)
 
 
 def _check_pk(p: int, k: int):
@@ -184,44 +167,13 @@ def _check_pk(p: int, k: int):
         raise ValueError(f"require 1 <= k < p, got p={p}, k={k}")
 
 
-def gamma_stiefel(p: int, k: int) -> SparseSignMatrix:
-    """Linear map from coordinates phi = (b, vec(A)) to vec of the skew embedding.
-
-    The embedded p x p matrix has skew block B (top-left k x k), A in the
-    bottom-left block, -A^T in the top-right, and zeros elsewhere. Columns
-    are ordered to match the coordinate layout: first the k(k-1)/2 entries
-    of b, then the (p-k)k entries of vec(A).
-    """
+def gamma_stiefel(p: int, k: int) -> SignedIndexMatrix:
+    """Linear map from coordinates phi = (b, vec(A)) to vec of the skew embedding."""
     _check_pk(p, k)
-    entries = []
-    col = 0
-    for i, j in _subdiag_pairs(k):
-        entries.append((j * p + i, col, 1))
-        entries.append((i * p + j, col, -1))
-        col += 1
-    for j in range(k):
-        for i in range(p - k):
-            # A[i, j] sits at embedded position (k + i, j); its negative
-            # transpose partner at (j, k + i).
-            entries.append((j * p + (k + i), col, 1))
-            entries.append(((k + i) * p + j, col, -1))
-            col += 1
-    d_v = p * k - k * (k + 1) // 2
-    return SparseSignMatrix(rows=p * p, cols=d_v, entries=tuple(entries))
+    return _skew_embedding(p, coordinate_pairs(p, k))
 
 
-def gamma_grassmann(p: int, k: int) -> SparseSignMatrix:
-    """Linear map from coordinates psi = vec(A) to vec of the skew embedding.
-
-    Same as `gamma_stiefel` with an empty b block: the embedded matrix has
-    a zero top-left k x k block.
-    """
+def gamma_grassmann(p: int, k: int) -> SignedIndexMatrix:
+    """Linear map from coordinates psi = vec(A) to vec of the skew embedding (B = 0)."""
     _check_pk(p, k)
-    entries = []
-    col = 0
-    for j in range(k):
-        for i in range(p - k):
-            entries.append((j * p + (k + i), col, 1))
-            entries.append(((k + i) * p + j, col, -1))
-            col += 1
-    return SparseSignMatrix(rows=p * p, cols=(p - k) * k, entries=tuple(entries))
+    return _skew_embedding(p, coordinate_pairs(p, k)[k * (k - 1) // 2:])

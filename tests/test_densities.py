@@ -21,6 +21,7 @@ from cayley_mcmc.densities import (
     uniform_log_density,
 )
 from cayley_mcmc.diagnostics import haar_stiefel, ks_statistic
+from cayley_mcmc.errors import ConditioningError
 from cayley_mcmc.jacobian import log_jacobian_block_grassmann, log_jacobian_stiefel
 
 
@@ -125,6 +126,26 @@ class TestPullback:
         val = pullback_log_density(uniform_log_density("grassmann"), coords)
         assert val == pytest.approx(log_jacobian_block_grassmann(coords), abs=1e-12)
 
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_name_uniform_does_not_drop_fn(self, manifold):
+        """The Jacobian-only shortcut keys on an unset fn, not on the name."""
+        dims = ManifoldDims(4, 2)
+        g = LogDensity(fn=lambda q: 1e6, manifold=manifold, name="uniform")
+        target = PullbackTarget(g, dims)
+        jacobian_only = PullbackTarget(uniform_log_density(manifold), dims)
+        x = np.zeros(target.dim)
+        assert target(x) == 1e6 + jacobian_only(x)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_nan_coordinate_raises(self, manifold):
+        """NaN must be loud; -inf for a domain exit is the only silent rejection."""
+        target = PullbackTarget(uniform_log_density(manifold), ManifoldDims(4, 2))
+        x = np.zeros(target.dim)
+        x[0] = np.nan
+        with pytest.raises(ConditioningError):
+            target(x)
+
     def test_manifold_mismatch_raises(self):
         dims = ManifoldDims(4, 2)
         coords = StiefelCoords.from_vector(dims, np.zeros(dims.d_v))
@@ -166,6 +187,18 @@ class TestPullbackTarget:
         from cayley_mcmc.jacobian import grad_log_jacobian_stiefel
         expected = grad_log_jacobian_stiefel(StiefelCoords.from_vector(dims, v))
         assert np.allclose(t.gradient(v), expected)
+
+    def test_gradient_of_fn_named_uniform_uses_chain_rule(self):
+        rng = np.random.default_rng(8)
+        dims = ManifoldDims(5, 2)
+        params = BinghamParams.from_data(rng.standard_normal((15, 5)), 1.0,
+                                         np.array([2.0, 1.0]))
+        bingham = bingham_log_density(params)
+        renamed = LogDensity(fn=bingham.fn, manifold="stiefel", name="uniform",
+                             grad_fn=bingham.grad_fn)
+        v = rng.standard_normal(dims.d_v)
+        expected = PullbackTarget(bingham, dims).gradient(v)
+        assert np.array_equal(PullbackTarget(renamed, dims).gradient(v), expected)
 
 
 class TestEntryMarginal:

@@ -1,4 +1,4 @@
-"""Exactness tests for the sparse structural matrices.
+"""Exactness tests for the coordinate layout and the structural matrices.
 
 Everything here is integer arithmetic, so comparisons are exact, not
 approximate.
@@ -6,15 +6,23 @@ approximate.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cayley_mcmc.cayley import (
+    GrassmannCoords,
+    ManifoldDims,
+    StiefelCoords,
+    embed_skew,
+    embed_skew_grassmann,
+)
 from cayley_mcmc.special_matrices import (
-    PermutationMap,
-    SparseSignMatrix,
     commutation_matrix,
-    dtilde_matrix,
+        dtilde_matrix,
     gamma_grassmann,
     gamma_stiefel,
     skew_from_vech,
+    transpose_perm,
     unvec,
     vec,
     vech_strict,
@@ -28,6 +36,17 @@ def _embed_skew(b_vec, a_mat, p, k):
     X[k:, :k] = a_mat
     X[:k, k:] = -a_mat.T
     return X
+
+
+def _skew_loop(b, n):
+    """Reference packing: strict subdiagonal filled column by column."""
+    B = np.zeros((n, n))
+    l = 0
+    for j in range(n):
+        for i in range(j + 1, n):
+            B[i, j], B[j, i] = b[l], -b[l]
+            l += 1
+    return B
 
 
 class TestVecOps:
@@ -68,9 +87,9 @@ class TestCommutationMatrix:
         assert K.sum() == 15
 
     def test_column_permutation_matches_matrix(self):
-        K = commutation_matrix(4, 3)
+        """Indexing columns by transpose_perm is right-multiplication by K."""
         M = np.random.default_rng(5).standard_normal((7, 12))
-        assert np.array_equal(M[:, K.column_permutation()], M @ K.toarray())
+        assert np.array_equal(M[:, transpose_perm(4, 3)], M @ commutation_matrix(4, 3).toarray())
 
 
 class TestDtildeMatrix:
@@ -129,18 +148,27 @@ class TestGammaMatrices:
         assert np.array_equal(gamma_stiefel(p, k).toarray(), dense)
 
 
-class TestSparseContainers:
-    def test_permutation_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            PermutationMap(3, (0, 0, 2))
+class TestCoordinateLayout:
+    """Properties of the one index table, over all 1 <= k < p <= 30."""
 
-    def test_sign_matrix_validates_entries(self):
-        with pytest.raises(ValueError):
-            SparseSignMatrix(2, 2, ((0, 0, 2),))
-        with pytest.raises(ValueError):
-            SparseSignMatrix(2, 2, ((5, 0, 1),))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1))),
+           st.integers(0, 2**32 - 1))
+    def test_gamma_embeds_coordinates(self, pk, seed):
+        p, k = pk
+        dims = ManifoldDims(p, k)
+        rng = np.random.default_rng(seed)
+        phi = rng.integers(-9, 10, size=dims.d_v).astype(float)
+        X = embed_skew(StiefelCoords.from_vector(dims, phi))
+        assert np.array_equal(gamma_stiefel(p, k).toarray() @ phi, vec(X))
+        psi = phi[dims.n_b:]
+        X = embed_skew_grassmann(GrassmannCoords.from_vector(dims, psi))
+        assert np.array_equal(gamma_grassmann(p, k).toarray() @ psi, vec(X))
 
-    def test_sign_matrix_matvec_matches_dense(self):
-        S = SparseSignMatrix(3, 2, ((0, 0, 1), (2, 0, -1), (1, 1, 1)))
-        x = np.array([2.0, -3.0])
-        assert np.array_equal(S.matvec(x), S.toarray() @ x)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 30), st.integers(0, 2**32 - 1))
+    def test_vech_inverts_skew_from_vech(self, n, seed):
+        b = np.random.default_rng(seed).standard_normal(n * (n - 1) // 2)
+        B = skew_from_vech(b, n)
+        assert np.array_equal(B, _skew_loop(b, n))
+        assert np.array_equal(vech_strict(B), b)
