@@ -1,13 +1,15 @@
 """Cayley maps between Euclidean coordinates and orthogonal matrices.
 
-The forward maps use the k x k block formulas (one small solve with
-I_k + A^T A - B) rather than the p x p resolvent, giving O(p k^2 + k^3)
-cost. The direct p x p formula C(X) = (I + X)(I - X)^{-1} I_{p x k} is kept
-available (`cayley_forward_dense`) as a test oracle.
+The forward maps use k x k block formulas rather than the p x p resolvent,
+giving O(p k^2 + k^3) cost: on V(k,p) one small solve with I_k + A^T A - B,
+on G(k,p) one symmetric eigendecomposition of A^T A. The direct p x p
+formula C(X) = (I + X)(I - X)^{-1} I_{p x k} is kept available
+(`cayley_forward_dense`) as a test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +214,17 @@ def embed_skew_grassmann(psi: GrassmannCoords) -> np.ndarray:
     return X
 
 
+def require_finite(M: np.ndarray, context: str) -> np.ndarray:
+    """M itself, or ConditioningError if any entry is NaN or infinite.
+
+    Runs before a decomposition: LAPACK fails on NaN input with its own error
+    or returns finite garbage, and a NaN fails every domain comparison.
+    """
+    if not math.isfinite(M.sum()):
+        raise ConditioningError(f"{context}: non-finite coordinates")
+    return M
+
+
 def _solve_right(N: np.ndarray, M: np.ndarray, context: str) -> np.ndarray:
     """N @ M^{-1} with a reciprocal-condition-number guard on M."""
     sv = np.linalg.svd(M, compute_uv=False)
@@ -232,7 +245,7 @@ def cayley_forward_stiefel(phi: StiefelCoords) -> StiefelPoint:
     B = phi.b_matrix()
     AtA = A.T @ A
     Ik = np.eye(dims.k)
-    S = Ik + AtA - B
+    S = require_finite(Ik + AtA - B, "cayley_forward_stiefel")
     Q1 = _solve_right(Ik - AtA + B, S, "cayley_forward_stiefel")
     Q2 = 2.0 * _solve_right(A, S, "cayley_forward_stiefel")
     return StiefelPoint(dims=dims, Q=np.vstack([Q1, Q2]))
@@ -270,27 +283,30 @@ def cayley_inverse_stiefel(Q: StiefelPoint) -> StiefelCoords:
 def grassmann_domain_margin(psi: GrassmannCoords) -> float:
     """1 - max eigenvalue of A^T A; positive iff psi lies in the open domain."""
     A = psi.a_matrix()
-    return float(1.0 - np.linalg.eigvalsh(A.T @ A).max())
+    return float(1.0 - np.linalg.eigvalsh(require_finite(A.T @ A, "grassmann_domain_margin"))[-1])
 
 
 def cayley_forward_grassmann(psi: GrassmannCoords) -> GrassmannPoint:
-    """Cayley transform of Grassmann coordinates; requires all eval_i(A^T A) < 1."""
-    margin = grassmann_domain_margin(psi)
-    if margin <= 0:
-        raise DomainError(
-            f"cayley_forward_grassmann: max eigenvalue of A^T A is {1.0 - margin:.6f} >= 1"
-        )
+    """Cayley transform of Grassmann coordinates; requires all eval_i(A^T A) < 1.
+
+    With A^T A = V diag(lam) V^T, Q1 = V diag((1 - lam)/(1 + lam)) V^T and
+    Q2 = 2 A V diag(1/(1 + lam)) V^T, so one k x k eigendecomposition gives
+    the domain test, the conditioning of I + A^T A and both blocks. Q1 is
+    formed as X X^T, which is exactly symmetric.
+    """
     dims = psi.dims
     A = psi.a_matrix()
-    AtA = A.T @ A
-    Ik = np.eye(dims.k)
-    S = Ik + AtA
-    Q1 = _solve_right(Ik - AtA, S, "cayley_forward_grassmann")
-    Q2 = 2.0 * _solve_right(A, S, "cayley_forward_grassmann")
-    # Symmetrize away the last-bit asymmetry of the solve so the SPD check
-    # in GrassmannPoint sees an exactly symmetric top block.
-    Q1 = 0.5 * (Q1 + Q1.T)
-    return GrassmannPoint(dims=dims, Q=np.vstack([Q1, Q2]))
+    lam, V = np.linalg.eigh(require_finite(A.T @ A, "cayley_forward_grassmann"))
+    if lam[-1] >= 1.0:
+        raise DomainError(f"cayley_forward_grassmann: max eigenvalue of A^T A {lam[-1]:.6f} >= 1")
+    rcond = (1.0 + lam[0]) / (1.0 + lam[-1])
+    if rcond < RCOND_CUTOFF:
+        raise ConditioningError(
+            f"cayley_forward_grassmann: reciprocal condition number {rcond:.3e} below cutoff"
+        )
+    X = V * np.sqrt((1.0 - lam) / (1.0 + lam))
+    Q2 = A @ ((V * (2.0 / (1.0 + lam))) @ V.T)
+    return GrassmannPoint(dims=dims, Q=np.vstack([X @ X.T, Q2]))
 
 
 def cayley_inverse_grassmann(Q: GrassmannPoint) -> GrassmannCoords:

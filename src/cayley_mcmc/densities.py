@@ -23,9 +23,8 @@ from .cayley import (
     StiefelPoint,
     cayley_forward_grassmann,
     cayley_forward_stiefel,
-    grassmann_domain_margin,
 )
-from .errors import ConditioningError
+from .errors import ConditioningError, DomainError
 from .jacobian import (
     derivative_stiefel,
     grad_log_jacobian_stiefel,
@@ -153,9 +152,10 @@ def pullback_log_density(g: LogDensity, coords: Coords) -> float:
     elif isinstance(coords, GrassmannCoords):
         if g.manifold != "grassmann":
             raise ValueError("Grassmann coordinates require a Grassmann target")
-        if grassmann_domain_margin(coords) <= 0:
+        try:
+            log_j = log_jacobian_block_grassmann(coords)
+        except DomainError:
             return -np.inf
-        log_j = log_jacobian_block_grassmann(coords)
         forward = cayley_forward_grassmann
     else:
         raise TypeError(f"unsupported coordinate type {type(coords)!r}")

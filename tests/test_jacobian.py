@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ortho_group
 
 from cayley_mcmc.cayley import GrassmannCoords, ManifoldDims, StiefelCoords, cayley_forward_dense
-from cayley_mcmc.errors import DomainError
+from cayley_mcmc.errors import ConditioningError, DomainError
 from cayley_mcmc.jacobian import (
     LOG2,
     derivative_grassmann,
@@ -28,6 +31,16 @@ def grassmann_coords(p, k, rng, radius=0.8):
     psi = rng.standard_normal(dims.d_g)
     psi *= radius / max(1.0, np.linalg.norm(psi))
     return GrassmannCoords.from_vector(dims, psi)
+
+
+def near_edge_coords(p, k, lam_max, seed):
+    """Grassmann coordinates whose largest eigenvalue of A^T A is lam_max."""
+    A = np.random.default_rng(seed).standard_normal((p - k, k))
+    A *= np.sqrt(lam_max) / np.linalg.norm(A, 2)
+    return GrassmannCoords(dims=ManifoldDims(p, k), a_vec=A.reshape(-1, order="F"))
+
+
+SHAPES = st.integers(2, 20).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1)))
 
 
 def fd_derivative(forward, vector, make_coords, h=1e-6):
@@ -103,6 +116,41 @@ class TestJacobianRoutes:
             naive = log_jacobian_naive(derivative_grassmann(psi))
             block = log_jacobian_block_grassmann(psi)
             assert abs(block - naive) <= 1e-8 * max(1.0, abs(naive))
+
+    @settings(max_examples=60, deadline=None)
+    @given(SHAPES, st.floats(0.9, 1.0 - 1e-6), st.integers(0, 2**32 - 1))
+    def test_grassmann_closed_form_near_domain_edge(self, pk, lam_max, seed):
+        """The eigenvalue formula matches the oracle as lam_max(A^T A) -> 1."""
+        psi = near_edge_coords(*pk, lam_max, seed)
+        naive = log_jacobian_naive(derivative_grassmann(psi))
+        assert abs(log_jacobian_block_grassmann(psi) - naive) <= 1e-8 * max(1.0, abs(naive))
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (5, 3), (6, 2), (7, 3), (12, 5)])
+    def test_grassmann_equivariance(self, p, k):
+        """log J(U A W^T) = log J(A) for orthogonal U and W, on both routes.
+
+        A -> U A W^T conjugates the Cayley map by an isometry of R^p, which
+        is why J depends on the eigenvalues of A^T A alone.
+        """
+        rng = np.random.default_rng(p * 17 + k)
+        dims = ManifoldDims(p, k)
+        for _ in range(5):
+            psi = grassmann_coords(p, k, rng)
+            U = ortho_group.rvs(p - k, random_state=rng) if p - k > 1 else -np.eye(1)
+            W = ortho_group.rvs(k, random_state=rng) if k > 1 else -np.eye(1)
+            moved = GrassmannCoords(dims=dims,
+                                    a_vec=(U @ psi.a_matrix() @ W.T).reshape(-1, order="F"))
+            for route in (log_jacobian_block_grassmann,
+                          lambda c: log_jacobian_naive(derivative_grassmann(c))):
+                base = route(psi)
+                assert abs(route(moved) - base) <= 1e-10 * max(1.0, abs(base))
+
+    def test_grassmann_domain_and_nan(self):
+        dims = ManifoldDims(3, 1)
+        with pytest.raises(DomainError):
+            log_jacobian_block_grassmann(GrassmannCoords.from_vector(dims, np.array([1.0, 0.0])))
+        with pytest.raises(ConditioningError):
+            log_jacobian_block_grassmann(GrassmannCoords.from_vector(dims, np.array([np.nan, 0.0])))
 
     @pytest.mark.parametrize("p,k", [(4, 2), (6, 3), (12, 5), (50, 3)])
     def test_closed_form_equals_block(self, p, k):
