@@ -280,33 +280,52 @@ def cayley_inverse_stiefel(Q: StiefelPoint) -> StiefelCoords:
     return StiefelCoords(dims=dims, b=vech_strict(B), a_vec=vec(A))
 
 
+def grassmann_spectrum(A: np.ndarray, context: str, vectors: bool = False,
+                       in_domain: bool = True):
+    """Ascending eigenvalues lam of A^T A, or (lam, V) with `vectors`.
+
+    The one decomposition every Grassmann route shares. Non-finite entries
+    raise ConditioningError before LAPACK sees them; with `in_domain`,
+    lam_max >= 1 raises DomainError. Values alone come from eigvalsh.
+    """
+    AtA = require_finite(A.T @ A, context)
+    lam, V = np.linalg.eigh(AtA) if vectors else (np.linalg.eigvalsh(AtA), None)
+    if in_domain and lam[-1] >= 1.0:
+        raise DomainError(f"{context}: max eigenvalue of A^T A {lam[-1]:.6f} >= 1")
+    return (lam, V) if vectors else lam
+
+
+def grassmann_frame(A: np.ndarray, lam: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The frame [Q1; Q2] from A and the eigendecomposition A^T A = V diag(lam) V^T.
+
+    Q1 = V diag((1 - lam)/(1 + lam)) V^T is formed as X X^T, which is
+    exactly symmetric, and Q2 = 2 A V diag(1/(1 + lam)) V^T.
+    """
+    X = V * np.sqrt((1.0 - lam) / (1.0 + lam))
+    Q2 = A @ ((V * (2.0 / (1.0 + lam))) @ V.T)
+    return np.vstack([X @ X.T, Q2])
+
+
 def grassmann_domain_margin(psi: GrassmannCoords) -> float:
     """1 - max eigenvalue of A^T A; positive iff psi lies in the open domain."""
-    A = psi.a_matrix()
-    return float(1.0 - np.linalg.eigvalsh(require_finite(A.T @ A, "grassmann_domain_margin"))[-1])
+    lam = grassmann_spectrum(psi.a_matrix(), "grassmann_domain_margin", in_domain=False)
+    return float(1.0 - lam[-1])
 
 
 def cayley_forward_grassmann(psi: GrassmannCoords) -> GrassmannPoint:
     """Cayley transform of Grassmann coordinates; requires all eval_i(A^T A) < 1.
 
-    With A^T A = V diag(lam) V^T, Q1 = V diag((1 - lam)/(1 + lam)) V^T and
-    Q2 = 2 A V diag(1/(1 + lam)) V^T, so one k x k eigendecomposition gives
-    the domain test, the conditioning of I + A^T A and both blocks. Q1 is
-    formed as X X^T, which is exactly symmetric.
+    One k x k eigendecomposition of A^T A gives the domain test, the
+    conditioning of I + A^T A and both blocks (see `grassmann_frame`).
     """
-    dims = psi.dims
     A = psi.a_matrix()
-    lam, V = np.linalg.eigh(require_finite(A.T @ A, "cayley_forward_grassmann"))
-    if lam[-1] >= 1.0:
-        raise DomainError(f"cayley_forward_grassmann: max eigenvalue of A^T A {lam[-1]:.6f} >= 1")
+    lam, V = grassmann_spectrum(A, "cayley_forward_grassmann", vectors=True)
     rcond = (1.0 + lam[0]) / (1.0 + lam[-1])
     if rcond < RCOND_CUTOFF:
         raise ConditioningError(
             f"cayley_forward_grassmann: reciprocal condition number {rcond:.3e} below cutoff"
         )
-    X = V * np.sqrt((1.0 - lam) / (1.0 + lam))
-    Q2 = A @ ((V * (2.0 / (1.0 + lam))) @ V.T)
-    return GrassmannPoint(dims=dims, Q=np.vstack([X @ X.T, Q2]))
+    return GrassmannPoint(dims=psi.dims, Q=grassmann_frame(A, lam, V))
 
 
 def cayley_inverse_grassmann(Q: GrassmannPoint) -> GrassmannCoords:

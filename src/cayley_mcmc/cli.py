@@ -465,8 +465,11 @@ def parse_and_dispatch(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         # numpy's LinAlgError subclasses ValueError; everything else reaching
-        # here is a rejected configuration value.
-        if type(exc).__name__ == "LinAlgError":
+        # here is a rejected configuration value. Importing numpy here is safe:
+        # the thread cap has already been applied.
+        import numpy as np
+
+        if isinstance(exc, np.linalg.LinAlgError):
             print(f"numerical-error: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         print(f"usage-error: {exc}", file=sys.stderr)

@@ -23,10 +23,13 @@ from .cayley import (
     StiefelPoint,
     cayley_forward_grassmann,
     cayley_forward_stiefel,
+    grassmann_frame,
+    grassmann_spectrum,
 )
 from .errors import ConditioningError, DomainError
 from .jacobian import (
     derivative_stiefel,
+    grad_log_jacobian_eig,
     grad_log_jacobian_stiefel,
     log_jacobian_block_grassmann,
     log_jacobian_stiefel,
@@ -52,15 +55,16 @@ class LogDensity:
     """A log density (up to a constant) on one of the two manifolds.
 
     `fn` is None for the constant density, the uniform distribution, whose
-    pullback is the log-Jacobian alone. `grad_fn`, when given, returns the
-    p x k matrix of partial derivatives of the log density with respect to
-    the entries of Q; it enables gradient-based proposals in the samplers.
+    pullback is the log-Jacobian alone. `grad_fn` returns the p x k matrix
+    of partial derivatives of the log density with respect to the entries
+    of Q; gradient-based proposals need it whenever `fn` is set. A constant
+    density needs no `grad_fn`.
     """
 
     fn: Optional[Callable[[Point], float]]
     manifold: str  # "stiefel" | "grassmann"
     name: str = "custom"
-    grad_fn: Callable[[Point], np.ndarray] = None
+    grad_fn: Optional[Callable[[Point], np.ndarray]] = None
 
     def __post_init__(self):
         if self.manifold not in ("stiefel", "grassmann"):
@@ -72,8 +76,7 @@ class LogDensity:
 
 def uniform_log_density(manifold: str = "stiefel") -> LogDensity:
     """The constant-zero log density: the uniform distribution."""
-    return LogDensity(fn=None, manifold=manifold, name="uniform",
-                      grad_fn=lambda point: np.zeros_like(point.Q))
+    return LogDensity(fn=None, manifold=manifold, name="uniform")
 
 
 @dataclass(frozen=True)
@@ -202,25 +205,47 @@ class PullbackTarget:
 
     @property
     def has_gradient(self) -> bool:
-        """Analytic gradients exist for full-frame targets with a grad_fn."""
-        return self.g.manifold == "stiefel" and self.g.grad_fn is not None
+        """A gradient exists unless the density has an `fn` but no `grad_fn`."""
+        return self.g.fn is None or self.g.grad_fn is not None
 
     def gradient(self, vector: np.ndarray) -> np.ndarray:
         """Gradient of the pullback log density at a coordinate vector.
 
-        The manifold part goes through the chain rule with the derivative
-        matrix of the forward map; the Jacobian part has a closed-form
-        gradient. Only available on the full-frame parametrization.
+        The Jacobian part has a closed-form gradient on both manifolds. The
+        manifold part goes through the chain rule: on V(k,p) with the dense
+        derivative matrix of the forward map, on G(k,p) as a k x k
+        vector-Jacobian product through the spectral forward map.
         """
         if not self.has_gradient:
-            raise ValueError("no analytic gradient available for this target")
+            raise ValueError(f"target {self.g.name!r} has an fn but no grad_fn")
         coords = self.coords(vector)
+        if isinstance(coords, GrassmannCoords):
+            return _grassmann_gradient(self.g, coords)
         grad = grad_log_jacobian_stiefel(coords)
         if self.g.fn is not None:
             point = cayley_forward_stiefel(coords)
             D = derivative_stiefel(coords).matrix
             grad = grad + D.T @ self.g.grad_fn(point).reshape(-1, order="F")
         return grad
+
+
+def _grassmann_gradient(g: LogDensity, psi: GrassmannCoords) -> np.ndarray:
+    """Pullback gradient on G(k,p) from one eigendecomposition of A^T A.
+
+    With N = (I + A^T A)^{-1}, the map is Q1 = 2N - I, Q2 = 2AN. For the
+    upstream gradient G = [G1; G2] of g at Q and W = 2N(G1 + A^T G2)N, the
+    chain-rule term in A is 2 G2 N - A(W + W^T).
+    """
+    A = psi.a_matrix()
+    lam, V = grassmann_spectrum(A, "PullbackTarget.gradient", vectors=True)
+    grad = grad_log_jacobian_eig(A, lam, V, psi.dims.p)
+    if g.fn is not None:
+        k = psi.dims.k
+        N = (V / (1.0 + lam)) @ V.T
+        G = g.grad_fn(GrassmannPoint(dims=psi.dims, Q=grassmann_frame(A, lam, V)))
+        W = 2.0 * N @ (G[:k] + A.T @ G[k:]) @ N
+        grad = grad + 2.0 * G[k:] @ N - A @ (W + W.T)
+    return grad.reshape(-1, order="F")
 
 
 class EntryMarginal:

@@ -138,12 +138,10 @@ def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -
 
 @dataclass(frozen=True)
 class ChainDiagnostics:
-    """Autocorrelations, effective sample size, and optional extras."""
+    """Autocorrelations and effective sample size."""
 
     acf: np.ndarray
     ess: float
-    ks: Optional[tuple[float, str]] = None
-    principal_angles: Optional[np.ndarray] = None
 
 
 def acf_ess(samples: np.ndarray, max_lag: Optional[int] = None) -> ChainDiagnostics:

@@ -1,8 +1,8 @@
 """Derivative matrices of the Cayley maps and log-Jacobian evaluation.
 
 One route per manifold runs in production, each a closed form in a k x k
-matrix: on V(k,p) the log-determinant of S = I - B + A^T A, with an analytic
-gradient; on G(k,p) a sum over the eigenvalues of A^T A. The naive
+matrix with an analytic gradient: on V(k,p) the log-determinant of
+S = I - B + A^T A; on G(k,p) a sum over the eigenvalues of A^T A. The naive
 (1/2) log det(D^T D) from the full pk x d derivative matrix D is the
 authoritative definition and the oracle for both.
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import GrassmannCoords, StiefelCoords, grassmann_domain_margin, require_finite
+from .cayley import GrassmannCoords, StiefelCoords, grassmann_domain_margin, grassmann_spectrum
 from .errors import ConditioningError, DomainError
 from .special_matrices import coordinate_pairs, vech_strict
 
@@ -29,6 +29,7 @@ __all__ = [
     "log_jacobian_block_stiefel",
     "grad_log_jacobian_stiefel",
     "log_jacobian_block_grassmann",
+    "grad_log_jacobian_grassmann",
 ]
 
 LOG2 = float(np.log(2.0))
@@ -143,11 +144,32 @@ def _log_jacobian_lowrank(lam: np.ndarray, p: int, k: int) -> float:
 
 def log_jacobian_block_grassmann(psi: GrassmannCoords) -> float:
     """Closed-form log-Jacobian of the Grassmann Cayley map; one eigvalsh of A^T A."""
-    A = psi.a_matrix()
-    lam = np.linalg.eigvalsh(require_finite(A.T @ A, "log_jacobian_block_grassmann"))
-    if lam[-1] >= 1.0:
-        raise DomainError("log_jacobian_block_grassmann: coordinates outside the eigenvalue domain")
+    lam = grassmann_spectrum(psi.a_matrix(), "log_jacobian_block_grassmann")
     return _log_jacobian_lowrank(lam, psi.dims.p, psi.dims.k)
+
+
+def grad_log_jacobian_eig(A: np.ndarray, lam: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
+    """Gradient in A of the Grassmann log-Jacobian, given A^T A = V diag(lam) V^T.
+
+    log J = F(lam) with F(lam) = -p sum log1p(lam) + (1/2) sum_{a,b}
+    log1p(lam_a (2 + lam_b)) up to a constant. As d lam_c / dA =
+    2 A v_c v_c^T and F is symmetric in lam, the gradient is
+    2 A V diag(F'(lam)) V^T, with
+
+        F'(lam_c) = -p / (1 + lam_c) + (1/2) sum_b (2 + lam_b) / M_cb
+                    + (1/2) sum_a lam_a / M_ac,   M_ab = 1 + lam_a (2 + lam_b).
+    """
+    M = 1.0 + np.outer(lam, lam + 2.0)
+    dF = (-p / (1.0 + lam) + 0.5 * ((lam + 2.0) / M).sum(axis=1)
+          + 0.5 * (lam[:, None] / M).sum(axis=0))
+    return A @ ((V * (2.0 * dF)) @ V.T)
+
+
+def grad_log_jacobian_grassmann(psi: GrassmannCoords) -> np.ndarray:
+    """Gradient of the closed-form Grassmann log-Jacobian in coordinate order vec A."""
+    A = psi.a_matrix()
+    lam, V = grassmann_spectrum(A, "grad_log_jacobian_grassmann", vectors=True)
+    return grad_log_jacobian_eig(A, lam, V, psi.dims.p).reshape(-1, order="F")
 
 
 def log_jacobian_stiefel(phi: StiefelCoords) -> float:

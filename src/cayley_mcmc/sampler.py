@@ -5,9 +5,8 @@ The chain lives in the unconstrained (Stiefel) or eigenvalue-constrained
 with the forward Cayley transform. Proposals are isotropic Gaussian random
 walks (optionally with separate scales for the skew-block and A-block
 coordinates) or leapfrog trajectories. Leapfrog uses the target's analytic
-gradient where it has one (Stiefel targets with a `grad_fn`) and central
-finite differences otherwise (Grassmann targets, and Stiefel targets
-without a `grad_fn`).
+pullback gradient, which exists on both manifolds for the uniform density
+and for any density with a `grad_fn`.
 
 Randomness comes from numpy's PCG64 generator seeded explicitly, so runs
 are deterministic given (seed, config, target).
@@ -43,7 +42,6 @@ class ProposalConfig:
     scale: float = 0.1
     per_block_scales: Optional[tuple[float, float]] = None  # (b block, A block)
     leapfrog_steps: int = 10
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.kind not in ("random-walk-gaussian", "leapfrog"):
@@ -52,8 +50,6 @@ class ProposalConfig:
             raise ValueError("scale must be positive")
         if self.leapfrog_steps < 1:
             raise ValueError("leapfrog_steps must be >= 1")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,30 +131,13 @@ def mh_step(state: ChainState, target: PullbackTarget, proposal: ProposalConfig,
     return ChainState(state.vector, state.log_target, state.accept_count, state.step_count + 1)
 
 
-def _fd_gradient(target: PullbackTarget, x: np.ndarray, h: float) -> np.ndarray:
-    """Central finite-difference gradient of the pullback log target."""
-    g = np.empty_like(x)
-    for j in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (target(x + e) - target(x - e)) / (2.0 * h)
-    return g
-
-
-def _gradient(target: PullbackTarget, x: np.ndarray, h: float) -> np.ndarray:
-    """Analytic pullback gradient when the target provides one, else FD."""
-    if getattr(target, "has_gradient", False):
-        return target.gradient(x)
-    return _fd_gradient(target, x, h)
-
-
 def leapfrog_step(state: ChainState, target: PullbackTarget, proposal: ProposalConfig,
                   rng: np.random.Generator, scale: Optional[float] = None) -> ChainState:
     """One Hamiltonian proposal.
 
     Standard leapfrog with unit mass matrix and step size `scale`,
-    Metropolis-corrected on the total energy. Gradients are analytic when
-    the target has one and central finite differences otherwise.
+    Metropolis-corrected on the total energy. A target whose density has
+    an `fn` but no `grad_fn` raises ValueError before the first move.
     """
     if proposal.kind != "leapfrog":
         raise ValueError("leapfrog_step requires proposal.kind == 'leapfrog'")
@@ -168,7 +147,7 @@ def leapfrog_step(state: ChainState, target: PullbackTarget, proposal: ProposalC
     mom = rng.standard_normal(x.shape[0])
     h0 = -state.log_target + 0.5 * mom @ mom
 
-    grad = _gradient(target, x, proposal.fd_step)
+    grad = target.gradient(x)
     mom = mom + 0.5 * scale * grad
     for step in range(proposal.leapfrog_steps):
         x = x + scale * mom
@@ -177,7 +156,7 @@ def leapfrog_step(state: ChainState, target: PullbackTarget, proposal: ProposalC
             # Left the domain mid-trajectory: reject outright.
             return ChainState(state.vector, state.log_target,
                               state.accept_count, state.step_count + 1)
-        grad = _gradient(target, x, proposal.fd_step)
+        grad = target.gradient(x)
         mom = mom + (scale if step < proposal.leapfrog_steps - 1 else 0.5 * scale) * grad
     h1 = -lp + 0.5 * mom @ mom
 

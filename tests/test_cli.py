@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cayley_mcmc import cli
 from cayley_mcmc.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -14,6 +15,7 @@ from cayley_mcmc.cli import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from cayley_mcmc.experiments import read_draws_csv
 
 
 class TestMatrixCsv:
@@ -77,6 +79,15 @@ class TestExitCodes:
             "jacobian", "--p", "5", "--k", "2", "--coords", "/nonexistent.csv"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("exc,code", [(np.linalg.LinAlgError("singular"), EXIT_NUMERICAL),
+                                          (ValueError("bad value"), EXIT_USAGE)])
+    def test_value_errors_map_by_class(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setitem(cli._DISPATCH, "roundtrip-check", fail)
+        assert parse_and_dispatch(["roundtrip-check", "--p", "3", "--k", "1"]) == code
+
     def test_roundtrip_check_ok(self, capsys):
         assert parse_and_dispatch(["roundtrip-check", "--p", "6", "--k", "2"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -128,6 +139,24 @@ class TestSampleCommand:
         assert code == EXIT_OK
         header = (tmp_path / "g" / "draws.csv").read_text().splitlines()[0]
         assert "manifold=grassmann" in header
+
+    @pytest.mark.parametrize("target", ["uniform", "bingham"])
+    def test_grassmann_leapfrog(self, tmp_path, capsys, target):
+        argv = ["sample", "--manifold", "grassmann", "--p", "5", "--k", "2",
+                "--target", target, "--proposal", "leapfrog", "--scale", "0.05",
+                "--iters", "150", "--burn", "50", "--seed", "4", "--out", str(tmp_path / "g")]
+        if target == "bingham":
+            data = tmp_path / "y.csv"
+            write_matrix_csv(data, np.random.default_rng(5).standard_normal((30, 5)))
+            argv += ["--data", str(data), "--sigma2", "1.0", "--lambda", "3,1"]
+        code = parse_and_dispatch(argv)
+        assert code == EXIT_OK
+        _, _, frames = read_draws_csv(tmp_path / "g" / "draws.csv")
+        assert frames.shape == (100, 5, 2)
+        for Q in frames:
+            assert np.max(np.abs(Q.T @ Q - np.eye(2))) < 1e-10
+            assert np.allclose(Q[:2], Q[:2].T, atol=1e-12)
+            assert np.linalg.eigvalsh(Q[:2]).min() > 0
 
 
 class TestJacobianCommand:

@@ -183,12 +183,19 @@ class TestPullbackTarget:
         assert isinstance(t_v.coords(np.zeros(t_v.dim)), StiefelCoords)
         assert isinstance(t_g.coords(np.zeros(t_g.dim)), GrassmannCoords)
 
-    def test_gradient_unavailable_on_grassmann(self):
+    def test_grassmann_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(9)
         dims = ManifoldDims(6, 2)
-        t_g = PullbackTarget(uniform_log_density("grassmann"), dims)
-        assert not t_g.has_gradient
-        with pytest.raises(ValueError):
-            t_g.gradient(np.zeros(t_g.dim))
+        params = BinghamParams.from_data(rng.standard_normal((20, 6)), 1.0,
+                                         np.array([4.0, 2.0]))
+        x = rng.standard_normal(dims.d_g)
+        x *= 0.7 / np.linalg.norm(x)
+        h = 1e-6
+        for g in (uniform_log_density("grassmann"), bingham_log_density(params, "grassmann")):
+            t = PullbackTarget(g, dims)
+            assert t.has_gradient
+            fd = np.array([(t(x + h * e) - t(x - h * e)) / (2 * h) for e in np.eye(dims.d_g)])
+            assert np.max(np.abs(t.gradient(x) - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
 
     def test_uniform_stiefel_gradient_is_jacobian_gradient(self):
         rng = np.random.default_rng(7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cayley_mcmc.cayley import ManifoldDims
-from cayley_mcmc.densities import PullbackTarget, uniform_log_density
+from cayley_mcmc.densities import LogDensity, PullbackTarget, uniform_log_density
 from cayley_mcmc.sampler import (
     ChainState,
     ProposalConfig,
@@ -72,6 +72,18 @@ class TestSteps:
             leapfrog_step(state, target, ProposalConfig(kind="random-walk-gaussian"),
                           np.random.default_rng(0))
 
+    def test_leapfrog_without_grad_fn_raises_before_moving(self):
+        for manifold in ("stiefel", "grassmann"):
+            g = LogDensity(fn=lambda point: float(point.Q[0, 0]), manifold=manifold)
+            target = PullbackTarget(g, ManifoldDims(4, 2))
+            start = np.full(target.dim, 0.1)
+            state = ChainState(start.copy(), target(start))
+            with pytest.raises(ValueError, match="grad_fn"):
+                leapfrog_step(state, target, ProposalConfig(kind="leapfrog", scale=0.05),
+                              np.random.default_rng(0))
+            assert np.array_equal(state.vector, start)
+            assert (state.accept_count, state.step_count) == (0, 0)
+
     def test_leapfrog_step_advances(self):
         target = uniform_target()
         rng = np.random.default_rng(2)
@@ -125,9 +137,11 @@ class TestRunChain:
 
     def test_adaptation_freezes_after_burn_in(self):
         target = uniform_target()
-        run = RunConfig(iterations=400, burn_in=100, seed=9)
-        batch = run_chain(target, np.zeros(target.dim), ProposalConfig(scale=0.5), run)
-        assert batch.final_scale == pytest.approx(batch.final_scale)
+        scales = [run_chain(target, np.zeros(target.dim), ProposalConfig(scale=0.5),
+                            RunConfig(iterations=n, burn_in=100, seed=9)).final_scale
+                  for n in (200, 400)]
+        assert scales[0] == scales[1]
+        assert scales[0] != 0.5
 
     def test_rejects_bad_init(self):
         target = uniform_target()
