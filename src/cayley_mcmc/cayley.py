@@ -225,20 +225,12 @@ def require_finite(M: np.ndarray, context: str) -> np.ndarray:
     return M
 
 
-def _solve_right(N: np.ndarray, M: np.ndarray, context: str) -> np.ndarray:
-    """N @ M^{-1} with a reciprocal-condition-number guard on M."""
-    sv = np.linalg.svd(M, compute_uv=False)
-    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-    if rcond < RCOND_CUTOFF:
-        raise ConditioningError(f"{context}: reciprocal condition number {rcond:.3e} below cutoff")
-    return np.linalg.solve(M.T, N.T).T
-
-
 def cayley_forward_stiefel(phi: StiefelCoords) -> StiefelPoint:
     """Cayley transform of Stiefel coordinates, via the k x k block formulas.
 
     Q1 = (I - A^T A + B)(I + A^T A - B)^{-1}, Q2 = 2 A (I + A^T A - B)^{-1}.
-    The system matrix is SPD plus skew, hence nonsingular for every phi.
+    The system matrix S is I + SPD plus skew, so its singular values are
+    at least 1; it is checked for conditioning once, before both solves.
     """
     dims = phi.dims
     A = phi.a_matrix()
@@ -246,8 +238,14 @@ def cayley_forward_stiefel(phi: StiefelCoords) -> StiefelPoint:
     AtA = A.T @ A
     Ik = np.eye(dims.k)
     S = require_finite(Ik + AtA - B, "cayley_forward_stiefel")
-    Q1 = _solve_right(Ik - AtA + B, S, "cayley_forward_stiefel")
-    Q2 = 2.0 * _solve_right(A, S, "cayley_forward_stiefel")
+    sv = np.linalg.svd(S, compute_uv=False)
+    rcond = sv[-1] / sv[0]
+    if rcond < RCOND_CUTOFF:
+        raise ConditioningError(
+            f"cayley_forward_stiefel: reciprocal condition number {rcond:.3e} below cutoff"
+        )
+    Q1 = np.linalg.solve(S.T, (Ik - AtA + B).T).T
+    Q2 = 2.0 * np.linalg.solve(S.T, A.T).T
     return StiefelPoint(dims=dims, Q=np.vstack([Q1, Q2]))
 
 
@@ -315,16 +313,13 @@ def grassmann_domain_margin(psi: GrassmannCoords) -> float:
 def cayley_forward_grassmann(psi: GrassmannCoords) -> GrassmannPoint:
     """Cayley transform of Grassmann coordinates; requires all eval_i(A^T A) < 1.
 
-    One k x k eigendecomposition of A^T A gives the domain test, the
-    conditioning of I + A^T A and both blocks (see `grassmann_frame`).
+    One k x k eigendecomposition of A^T A gives the domain test and both
+    blocks (see `grassmann_frame`). Inside the domain I + A^T A has
+    reciprocal condition number (1 + lam_min)/(1 + lam_max) > 1/2, so it
+    needs no conditioning guard.
     """
     A = psi.a_matrix()
     lam, V = grassmann_spectrum(A, "cayley_forward_grassmann", vectors=True)
-    rcond = (1.0 + lam[0]) / (1.0 + lam[-1])
-    if rcond < RCOND_CUTOFF:
-        raise ConditioningError(
-            f"cayley_forward_grassmann: reciprocal condition number {rcond:.3e} below cutoff"
-        )
     return GrassmannPoint(dims=psi.dims, Q=grassmann_frame(A, lam, V))
 
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import CayleyError
 
@@ -132,82 +133,115 @@ def _parse_int_list(value):
         raise UsageError(f"expected a comma-separated list of integers, got {value!r}")
 
 
+REQUIRED = object()  # the default of a flag that the flag or --config must set
+
+MANIFOLDS = ("stiefel", "grassmann")
+
+
+class Flag(NamedTuple):
+    """One option of a subcommand and its default, REQUIRED or a value.
+
+    The config key, and the key of the resolved configuration, is `dest`
+    if given, else the flag name with its dashes turned into underscores.
+    """
+
+    name: str
+    type: Optional[Callable] = None
+    default: Any = None
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+    dest: Optional[str] = None
+
+    @property
+    def key(self) -> str:
+        return self.dest or self.name[2:].replace("-", "_")
+
+
+# Each subcommand's help and flags; "missing required options" names flags
+# in this order.
+COMMANDS = {
+    "sample": ("run one MCMC chain and write draws", (
+        Flag("--manifold", default="stiefel", choices=MANIFOLDS),
+        Flag("--p", int, REQUIRED),
+        Flag("--k", int, REQUIRED),
+        Flag("--target", default="uniform", choices=("uniform", "bingham")),
+        Flag("--data", help="CSV data matrix (bingham target)"),
+        Flag("--sigma2", float),
+        Flag("--lambda", dest="lam", help="comma-separated eigenvalues"),
+        Flag("--iters", int, REQUIRED),
+        Flag("--burn", int, 0),
+        Flag("--thin", int, 1),
+        Flag("--scale", float),
+        Flag("--proposal", default="random-walk-gaussian",
+             choices=("random-walk-gaussian", "leapfrog")),
+        Flag("--seed", int, REQUIRED),
+        Flag("--out", default=REQUIRED),
+    )),
+    "jacobian": ("print block and naive log-Jacobians per coordinate row", (
+        Flag("--manifold", default="stiefel", choices=MANIFOLDS),
+        Flag("--p", int, REQUIRED),
+        Flag("--k", int, REQUIRED),
+        Flag("--coords", default=REQUIRED, help="CSV of coordinate rows"),
+        Flag("--out"),
+    )),
+    "uniform-exp": ("uniform-distribution sampling study", (
+        Flag("--p", int, REQUIRED),
+        Flag("--k", int, REQUIRED),
+        Flag("--draws", int, REQUIRED),
+        Flag("--thin", int, 10),
+        Flag("--burn", int, help="default max(2000, 2 dim V(k,p))"),
+        Flag("--seed", int, REQUIRED),
+        Flag("--out", default=REQUIRED),
+    )),
+    "bingham-exp": ("spiked-covariance posterior study", (
+        Flag("--n", int, 100),
+        Flag("--p", int, REQUIRED),
+        Flag("--k", int, REQUIRED),
+        Flag("--sigma2", float, 1.0),
+        Flag("--lambda", default=REQUIRED, dest="lam", help="comma-separated eigenvalues"),
+        Flag("--iters", int, 12000),
+        Flag("--burn", int, 2000),
+        Flag("--thin", int, 1),
+        Flag("--data-seed", int, 0),
+        Flag("--seed", int, REQUIRED),
+        Flag("--out", default=REQUIRED),
+    )),
+    "normal-approx-exp": ("Gaussian coupling-error study", (
+        Flag("--k", int, REQUIRED),
+        Flag("--p-grid", default=REQUIRED, help="comma-separated grid of p values"),
+        Flag("--replicates", int, 50),
+        Flag("--seed", int, REQUIRED),
+        Flag("--out", default=REQUIRED),
+    )),
+    "roundtrip-check": ("verify forward/inverse map consistency", (
+        Flag("--p", int, REQUIRED),
+        Flag("--k", int, REQUIRED),
+        Flag("--instances", int, 100),
+        Flag("--tol", float, 1e-10),
+        Flag("--seed", int, 0),
+        Flag("--out"),
+    )),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cayley-mcmc",
         description="Euclidean-coordinate MCMC on orthogonal-frame manifolds.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, help_text):
-        cmd = sub.add_parser(name, help=help_text)
+    for command, (help_text, flags) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
         cmd.add_argument("--config", default=None, help="JSON file with defaults for any flag")
-        return cmd
-
-    s = add("sample", "run one MCMC chain and write draws")
-    s.add_argument("--manifold", choices=("stiefel", "grassmann"), default=None)
-    s.add_argument("--p", type=int, default=None)
-    s.add_argument("--k", type=int, default=None)
-    s.add_argument("--target", choices=("uniform", "bingham"), default=None)
-    s.add_argument("--data", default=None, help="CSV data matrix (bingham target)")
-    s.add_argument("--sigma2", type=float, default=None)
-    s.add_argument("--lambda", dest="lam", default=None, help="comma-separated eigenvalues")
-    s.add_argument("--iters", type=int, default=None)
-    s.add_argument("--burn", type=int, default=None)
-    s.add_argument("--thin", type=int, default=None)
-    s.add_argument("--scale", type=float, default=None)
-    s.add_argument("--proposal", choices=("random-walk-gaussian", "leapfrog"), default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--out", default=None)
-
-    j = add("jacobian", "print block and naive log-Jacobians per coordinate row")
-    j.add_argument("--manifold", choices=("stiefel", "grassmann"), default=None)
-    j.add_argument("--p", type=int, default=None)
-    j.add_argument("--k", type=int, default=None)
-    j.add_argument("--coords", default=None, help="CSV of coordinate rows")
-    j.add_argument("--out", default=None)
-
-    u = add("uniform-exp", "uniform-distribution sampling study")
-    u.add_argument("--p", type=int, default=None)
-    u.add_argument("--k", type=int, default=None)
-    u.add_argument("--draws", type=int, default=None)
-    u.add_argument("--thin", type=int, default=None)
-    u.add_argument("--burn", type=int, default=None)
-    u.add_argument("--seed", type=int, default=None)
-    u.add_argument("--out", default=None)
-
-    b = add("bingham-exp", "spiked-covariance posterior study")
-    b.add_argument("--n", type=int, default=None)
-    b.add_argument("--p", type=int, default=None)
-    b.add_argument("--k", type=int, default=None)
-    b.add_argument("--sigma2", type=float, default=None)
-    b.add_argument("--lambda", dest="lam", default=None)
-    b.add_argument("--iters", type=int, default=None)
-    b.add_argument("--burn", type=int, default=None)
-    b.add_argument("--thin", type=int, default=None)
-    b.add_argument("--data-seed", type=int, default=None)
-    b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--out", default=None)
-
-    n = add("normal-approx-exp", "Gaussian coupling-error study")
-    n.add_argument("--k", type=int, default=None)
-    n.add_argument("--p-grid", default=None, help="comma-separated grid of p values")
-    n.add_argument("--replicates", type=int, default=None)
-    n.add_argument("--seed", type=int, default=None)
-    n.add_argument("--out", default=None)
-
-    r = add("roundtrip-check", "verify forward/inverse map consistency")
-    r.add_argument("--p", type=int, default=None)
-    r.add_argument("--k", type=int, default=None)
-    r.add_argument("--instances", type=int, default=None)
-    r.add_argument("--tol", type=float, default=None)
-    r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--out", default=None)
+        for flag in flags:
+            cmd.add_argument(flag.name, dest=flag.key, type=flag.type, choices=flag.choices,
+                             help=flag.help)
     return parser
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, required: tuple) -> dict:
-    """Merge flag values over an optional JSON config over built-in defaults."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge flag values over an optional JSON config over the table's defaults."""
+    flags = COMMANDS[args.command][1]
     config = {}
     if args.config is not None:
         try:
@@ -218,16 +252,17 @@ def _resolve(args: argparse.Namespace, defaults: dict, required: tuple) -> dict:
             raise InputError(f"{args.config}: invalid JSON ({exc.msg} at line {exc.lineno})")
         if not isinstance(config, dict):
             raise InputError(f"{args.config}: config document must be a JSON object")
-        unknown = set(config) - set(defaults)
+        unknown = set(config) - {flag.key for flag in flags}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for key, default in defaults.items():
-        flag_val = getattr(args, key)
-        resolved[key] = flag_val if flag_val is not None else config.get(key, default)
-    missing = [key for key in required if resolved[key] is None]
+    for flag in flags:
+        value = getattr(args, flag.key)
+        resolved[flag.key] = value if value is not None else config.get(flag.key, flag.default)
+    missing = [flag.name for flag in flags
+               if flag.default is REQUIRED and resolved[flag.key] in (None, REQUIRED)]
     if missing:
-        raise UsageError("missing required options: " + ", ".join(f"--{m.replace('_', '-')}" for m in missing))
+        raise UsageError("missing required options: " + ", ".join(missing))
     return resolved
 
 
@@ -242,14 +277,9 @@ def _cmd_sample(args) -> int:
     from .cayley import ManifoldDims
     from .densities import BinghamParams, PullbackTarget, bingham_log_density, uniform_log_density
     from .experiments import ExperimentReport, write_draws_csv, write_report
-    from .sampler import ProposalConfig, RunConfig, run_chain
+    from .sampler import RunConfig, default_proposal, run_chain
 
-    cfg = _resolve(args, defaults={
-        "manifold": "stiefel", "p": None, "k": None, "target": "uniform",
-        "data": None, "sigma2": None, "lam": None, "iters": None,
-        "burn": 0, "thin": 1, "scale": None, "proposal": "random-walk-gaussian",
-        "seed": None, "out": None,
-    }, required=("p", "k", "iters", "seed", "out"))
+    cfg = _resolve(args)
     _check_dims(cfg["p"], cfg["k"])
     dims = ManifoldDims(cfg["p"], cfg["k"])
 
@@ -271,15 +301,13 @@ def _cmd_sample(args) -> int:
         g = uniform_log_density(manifold=cfg["manifold"])
 
     target = PullbackTarget(g, dims)
-    scale = cfg["scale"] if cfg["scale"] is not None else 2.38 / np.sqrt(target.dim)
-    per_block = (np.sqrt(2.0 / cfg["p"]), np.sqrt(1.0 / cfg["p"])) if cfg["manifold"] == "stiefel" else None
-    proposal = ProposalConfig(kind=cfg["proposal"], scale=scale, per_block_scales=per_block)
+    proposal = default_proposal(target, kind=cfg["proposal"], scale=cfg["scale"])
     run = RunConfig(iterations=cfg["iters"], burn_in=cfg["burn"], thin=cfg["thin"], seed=cfg["seed"])
     batch = run_chain(target, np.zeros(target.dim), proposal, run)
 
     out = Path(cfg["out"])
     _write_manifest(out, "sample", cfg)
-    write_draws_csv(out / "draws.csv", batch, manifold=cfg["manifold"], p=cfg["p"], k=cfg["k"])
+    write_draws_csv(out / "draws.csv", batch, manifold=cfg["manifold"])
     report = ExperimentReport(
         name="sample",
         config=cfg,
@@ -303,9 +331,7 @@ def _cmd_jacobian(args) -> int:
         log_jacobian_naive,
     )
 
-    cfg = _resolve(args, defaults={
-        "manifold": "stiefel", "p": None, "k": None, "coords": None, "out": None,
-    }, required=("p", "k", "coords"))
+    cfg = _resolve(args)
     _check_dims(cfg["p"], cfg["k"])
     dims = ManifoldDims(cfg["p"], cfg["k"])
     rows = read_matrix_csv(cfg["coords"])
@@ -334,10 +360,7 @@ def _cmd_jacobian(args) -> int:
 def _cmd_uniform_exp(args) -> int:
     from .experiments import run_uniform_experiment
 
-    cfg = _resolve(args, defaults={
-        "p": None, "k": None, "draws": None, "thin": 10, "burn": None,
-        "seed": None, "out": None,
-    }, required=("p", "k", "draws", "seed", "out"))
+    cfg = _resolve(args)
     _check_dims(cfg["p"], cfg["k"])
     _write_manifest(cfg["out"], "uniform-exp", cfg)
     report = run_uniform_experiment(cfg["p"], cfg["k"], cfg["draws"], cfg["seed"],
@@ -354,11 +377,7 @@ def _cmd_bingham_exp(args) -> int:
     from .experiments import SpikedDataSpec, run_bingham_experiment
     from .sampler import RunConfig
 
-    cfg = _resolve(args, defaults={
-        "n": 100, "p": None, "k": None, "sigma2": 1.0, "lam": None,
-        "iters": 12000, "burn": 2000, "thin": 1, "data_seed": 0,
-        "seed": None, "out": None,
-    }, required=("p", "k", "lam", "seed", "out"))
+    cfg = _resolve(args)
     _check_dims(cfg["p"], cfg["k"])
     lam = np.array(_parse_float_list(cfg["lam"]))
     try:
@@ -378,9 +397,7 @@ def _cmd_bingham_exp(args) -> int:
 def _cmd_normal_approx_exp(args) -> int:
     from .experiments import run_normal_approx_experiment
 
-    cfg = _resolve(args, defaults={
-        "k": None, "p_grid": None, "replicates": 50, "seed": None, "out": None,
-    }, required=("k", "p_grid", "seed", "out"))
+    cfg = _resolve(args)
     p_grid = _parse_int_list(cfg["p_grid"]) if isinstance(cfg["p_grid"], str) else list(cfg["p_grid"])
     if cfg["k"] >= min(p_grid):
         raise UsageError(f"require k < min(p_grid), got k={cfg['k']}, grid {p_grid}")
@@ -406,9 +423,7 @@ def _cmd_roundtrip_check(args) -> int:
         cayley_inverse_stiefel,
     )
 
-    cfg = _resolve(args, defaults={
-        "p": None, "k": None, "instances": 100, "tol": 1e-10, "seed": 0, "out": None,
-    }, required=("p", "k"))
+    cfg = _resolve(args)
     _check_dims(cfg["p"], cfg["k"])
     dims = ManifoldDims(cfg["p"], cfg["k"])
     rng = np.random.Generator(np.random.PCG64(cfg["seed"]))

@@ -143,27 +143,28 @@ def pullback_log_density(g: LogDensity, coords: Coords) -> float:
     """log g(C(coords)) + log J(coords): the target the sampler works with.
 
     Grassmann coordinates outside the eigenvalue domain get -inf (so a
-    Metropolis proposal there is rejected naturally); numerical failures
-    inside the domain, a NaN value among them, raise ConditioningError
-    instead of masking bugs as rejections.
+    Metropolis proposal there is rejected naturally), and so do coordinates
+    just inside it whose frame fails `GrassmannPoint` validation when the
+    density needs the frame. Numerical failures, a NaN value among them,
+    raise ConditioningError instead of masking bugs as rejections.
     """
+    # A constant manifold density (fn unset) pulls back to the Jacobian alone.
     if isinstance(coords, StiefelCoords):
         if g.manifold != "stiefel":
             raise ValueError("Stiefel coordinates require a Stiefel target")
         log_j = log_jacobian_stiefel(coords)
-        forward = cayley_forward_stiefel
+        point = None if g.fn is None else cayley_forward_stiefel(coords)
     elif isinstance(coords, GrassmannCoords):
         if g.manifold != "grassmann":
             raise ValueError("Grassmann coordinates require a Grassmann target")
         try:
             log_j = log_jacobian_block_grassmann(coords)
+            point = None if g.fn is None else cayley_forward_grassmann(coords)
         except DomainError:
             return -np.inf
-        forward = cayley_forward_grassmann
     else:
         raise TypeError(f"unsupported coordinate type {type(coords)!r}")
-    # A constant manifold density (fn unset) pulls back to the Jacobian alone.
-    value = log_j if g.fn is None else g(forward(coords)) + log_j
+    value = log_j if point is None else g(point) + log_j
     if math.isnan(value):
         raise ConditioningError("pullback_log_density: log target is NaN")
     return value

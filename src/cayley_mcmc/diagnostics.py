@@ -114,7 +114,6 @@ def principal_angles(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
     """
     Q = np.asarray(Q, dtype=float)
     V = np.asarray(V, dtype=float)
-    Q = getattr(Q, "Q", Q)
     if Q.shape != V.shape:
         raise ValueError(f"shape mismatch: {Q.shape} vs {V.shape}")
     qn = np.linalg.norm(Q, axis=0)

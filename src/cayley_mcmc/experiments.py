@@ -2,16 +2,15 @@
 posterior, and the normal-approximation coupling, with structured reports.
 
 Each run is deterministic given its seed. Reports are JSON-compatible
-dictionaries; retained draws go to CSV with full double precision. Wall
-clock time is kept on the in-memory report only, never in the files, so
-re-runs with identical inputs produce byte-identical outputs.
+dictionaries; retained draws go to CSV with full double precision. Nothing
+written depends on wall-clock time, so re-runs with identical inputs
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +33,14 @@ from .diagnostics import (
     ks_statistic,
     principal_angles,
 )
-from .sampler import ProposalConfig, RunConfig, SampleBatch, init_from_manifold, run_chain
+from .sampler import (
+    ProposalConfig,
+    RunConfig,
+    SampleBatch,
+    default_proposal,
+    init_from_manifold,
+    run_chain,
+)
 
 __all__ = [
     "SpikedDataSpec",
@@ -81,17 +87,6 @@ class ExperimentReport:
     config: dict
     metrics: dict
     histograms: dict = field(default_factory=dict)
-    runtime_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        # runtime deliberately excluded: output files must be reproducible
-        # byte for byte under identical (seed, config).
-        return {
-            "name": self.name,
-            "config": self.config,
-            "metrics": self.metrics,
-            "histograms": self.histograms,
-        }
 
 
 def simulate_spiked_data(spec: SpikedDataSpec):
@@ -119,16 +114,11 @@ def run_uniform_experiment(p: int, k: int, draws: int, seed: int,
     single-entry marginal, and of the scaled first coordinate of phi
     against a standard normal.
     """
-    t0 = time.perf_counter()
     dims = ManifoldDims(p, k)
     target = PullbackTarget(uniform_log_density("stiefel"), dims)
     burn = burn_in if burn_in is not None else max(2000, 2 * dims.d_v)
     run_cfg = RunConfig(iterations=burn + draws * thin, burn_in=burn, thin=thin, seed=seed)
-    proposal = ProposalConfig(
-        scale=2.38 / np.sqrt(dims.d_v),
-        per_block_scales=(np.sqrt(2.0 / p), np.sqrt(1.0 / p)),
-    )
-    batch = run_chain(target, np.zeros(dims.d_v), proposal, run_cfg)
+    batch = run_chain(target, np.zeros(dims.d_v), default_proposal(target), run_cfg)
 
     entry = batch.manifold_draws[:, 0, 0]
     marginal = EntryMarginal(p, k)
@@ -153,24 +143,16 @@ def run_uniform_experiment(p: int, k: int, draws: int, seed: int,
             "top_left_entry": _histogram(entry, 40, -1.0, 1.0),
             "scaled_first_coordinate": _histogram(first_scaled, 40, -5.0, 5.0),
         },
-        runtime_seconds=time.perf_counter() - t0,
     )
     if out_dir is not None:
-        _persist(out_dir, report, batch, manifold="stiefel", p=p, k=k)
+        _persist(out_dir, report, batch, manifold="stiefel")
     return report
 
 
-def _bingham_chain(target: PullbackTarget, init_vec: np.ndarray, run: RunConfig) -> SampleBatch:
-    """One posterior chain with gradient-based (leapfrog) proposals.
-
-    The posterior concentrates sharply, so a random walk would need far
-    more than the configured step budget to mix; leapfrog trajectories with
-    the analytic pullback gradient keep the effective sample size usable.
-    """
-    proposal = ProposalConfig(kind="leapfrog", scale=0.02, leapfrog_steps=5)
-    run_lf = RunConfig(iterations=run.iterations, burn_in=run.burn_in, thin=run.thin,
-                       seed=run.seed, adapt=run.adapt, target_acceptance=0.7)
-    return run_chain(target, init_vec, proposal, run_lf)
+# The Bingham posterior concentrates sharply, so a random walk would need far
+# more than the configured step budget to mix; leapfrog trajectories with the
+# analytic pullback gradient keep the effective sample size usable.
+BINGHAM_PROPOSAL = ProposalConfig(kind="leapfrog", scale=0.02, leapfrog_steps=5)
 
 
 def _safe_frame(V: np.ndarray, dims: ManifoldDims) -> StiefelPoint:
@@ -190,7 +172,6 @@ def run_bingham_experiment(spec: SpikedDataSpec, run: RunConfig,
     Y^T Y), the other at an independent Haar frame; agreement of their
     first-principal-angle histograms is the convergence check.
     """
-    t0 = time.perf_counter()
     dims = ManifoldDims(spec.p, spec.k)
     Y, Q_true = simulate_spiked_data(spec)
     params = BinghamParams.from_data(Y, spec.sigma2, spec.lam)
@@ -206,10 +187,8 @@ def run_bingham_experiment(spec: SpikedDataSpec, run: RunConfig,
     chains = []
     angle_series = []
     for idx, start in enumerate((mode, haar_init)):
-        run_c = RunConfig(iterations=run.iterations, burn_in=run.burn_in, thin=run.thin,
-                          seed=run.seed + idx, adapt=run.adapt,
-                          target_acceptance=run.target_acceptance)
-        batch = _bingham_chain(target, init_from_manifold(start), run_c)
+        batch = run_chain(target, init_from_manifold(start), BINGHAM_PROPOSAL,
+                          replace(run, seed=run.seed + idx))
         chains.append(batch)
         angles = np.array([principal_angles(Qd, mode.Q) for Qd in batch.manifold_draws])
         angle_series.append(angles)
@@ -240,10 +219,9 @@ def run_bingham_experiment(spec: SpikedDataSpec, run: RunConfig,
                 "thin": run.thin, "chain_seed": run.seed},
         metrics=metrics,
         histograms=histograms,
-        runtime_seconds=time.perf_counter() - t0,
     )
     if out_dir is not None:
-        _persist(out_dir, report, chains[0], manifold="stiefel", p=spec.p, k=spec.k)
+        _persist(out_dir, report, chains[0], manifold="stiefel")
     return report
 
 
@@ -255,7 +233,6 @@ def run_normal_approx_experiment(k: int, p_grid, replicates: int, seed: int,
     for the medians, and a pooled KS of the Gaussian-matched coordinates
     at the smallest p.
     """
-    t0 = time.perf_counter()
     p_grid = [int(p) for p in p_grid]
     if k >= min(p_grid):
         raise ValueError("require k < min(p_grid)")
@@ -285,7 +262,6 @@ def run_normal_approx_experiment(k: int, p_grid, replicates: int, seed: int,
             "ks_pooled_z_smallest_p": ks_z,
         },
         histograms={"pooled_z": _histogram(z_all, 40, -5.0, 5.0)},
-        runtime_seconds=time.perf_counter() - t0,
     )
     if out_dir is not None:
         out = Path(out_dir)
@@ -294,10 +270,11 @@ def run_normal_approx_experiment(k: int, p_grid, replicates: int, seed: int,
     return report
 
 
-def write_draws_csv(path, batch: SampleBatch, manifold: str, p: int, k: int) -> None:
+def write_draws_csv(path, batch: SampleBatch, manifold: str) -> None:
     """One row per retained draw: coordinates, then flattened Q (column-major)."""
     path = Path(path)
     n, d = batch.coords_draws.shape
+    p, k = batch.manifold_draws.shape[1:]
     with path.open("w") as fh:
         fh.write(f"# manifold={manifold} p={p} k={k} n_coords={d}\n")
         for i in range(n):
@@ -325,17 +302,16 @@ def read_draws_csv(path):
 
 
 def write_report(report: ExperimentReport, out_dir) -> Path:
-    """Serialize the report (without runtime) as pretty JSON."""
+    """Serialize the report as pretty JSON with sorted keys."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "report.json"
-    path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
     return path
 
 
-def _persist(out_dir, report: ExperimentReport, batch: SampleBatch,
-             manifold: str, p: int, k: int) -> None:
+def _persist(out_dir, report: ExperimentReport, batch: SampleBatch, manifold: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(report, out)
-    write_draws_csv(out / "draws.csv", batch, manifold=manifold, p=p, k=k)
+    write_draws_csv(out / "draws.csv", batch, manifold=manifold)

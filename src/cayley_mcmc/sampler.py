@@ -8,13 +8,15 @@ coordinates) or leapfrog trajectories. Leapfrog uses the target's analytic
 pullback gradient, which exists on both manifolds for the uniform density
 and for any density with a `grad_fn`.
 
-Randomness comes from numpy's PCG64 generator seeded explicitly, so runs
-are deterministic given (seed, config, target).
+The proposal kind fixes both the step function and the acceptance rate
+that burn-in tunes the scale toward: 0.3 for the random walk, 0.7 for
+leapfrog. Randomness comes from numpy's PCG64 generator seeded
+explicitly, so runs are deterministic given (seed, config, target).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,14 +56,12 @@ class ProposalConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Chain length, burn-in, thinning, seed, and adaptation settings."""
+    """Chain length, burn-in, thinning and seed."""
 
     iterations: int
     burn_in: int = 0
     thin: int = 1
     seed: int = 0
-    adapt: bool = True
-    target_acceptance: float = 0.3
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -70,8 +70,6 @@ class RunConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if not (0.0 < self.target_acceptance < 1.0):
-            raise ValueError("target_acceptance must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -90,15 +88,12 @@ class ChainState:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Retained draws (coordinates and mapped frames) plus run metadata."""
+    """Retained draws (coordinates and mapped frames), acceptance and final scale."""
 
     coords_draws: np.ndarray  # (n_draws, d)
     manifold_draws: np.ndarray  # (n_draws, p, k)
     acceptance_rate: float
-    seed: int
-    proposal: ProposalConfig
-    run: RunConfig
-    final_scale: float = field(default=0.0)
+    final_scale: float
 
 
 def _block_step(target: PullbackTarget, proposal: ProposalConfig, scale: float,
@@ -166,13 +161,28 @@ def leapfrog_step(state: ChainState, target: PullbackTarget, proposal: ProposalC
     return ChainState(state.vector, state.log_target, state.accept_count, state.step_count + 1)
 
 
+def default_proposal(target: PullbackTarget, kind: str = "random-walk-gaussian",
+                     scale: Optional[float] = None) -> ProposalConfig:
+    """The package's default proposal scaling for `target`.
+
+    Scale 2.38/sqrt(d) unless `scale` is given and, on V(k,p), random-walk
+    block scales (sqrt(2/p), sqrt(1/p)) for the skew block and the A block.
+    """
+    if scale is None:
+        scale = 2.38 / np.sqrt(target.dim)
+    p = target.dims.p
+    per_block = (np.sqrt(2.0 / p), np.sqrt(1.0 / p)) if target.g.manifold == "stiefel" else None
+    return ProposalConfig(kind=kind, scale=scale, per_block_scales=per_block)
+
+
 def run_chain(target: PullbackTarget, init: np.ndarray, proposal: ProposalConfig,
               run: RunConfig) -> SampleBatch:
-    """Burn-in with optional Robbins-Monro scale adaptation, then sampling.
+    """Burn-in with Robbins-Monro scale adaptation, then sampling.
 
-    Adaptation multiplies the proposal scale by exp(c_t (a_t - target_rate))
-    with c_t ~ t^{-0.6}, during burn-in only; the scale is frozen afterwards
-    so the sampling phase is a genuine Markov chain.
+    Adaptation multiplies the proposal scale by exp(c_t (a_t - a*)) with
+    c_t ~ t^{-0.6}, where a* is 0.3 for the random walk and 0.7 for
+    leapfrog, during burn-in only; the scale is frozen afterwards so the
+    sampling phase is a genuine Markov chain.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     if init.shape[0] != target.dim:
@@ -182,17 +192,21 @@ def run_chain(target: PullbackTarget, init: np.ndarray, proposal: ProposalConfig
         raise ValueError("initial coordinates have non-finite log target")
 
     rng = np.random.Generator(np.random.PCG64(run.seed))
-    step_fn = leapfrog_step if proposal.kind == "leapfrog" else mh_step
+    # The step function and the acceptance rate burn-in tunes toward, per kind.
+    # Looked up per call, so a step function replaced on the module is used.
+    step_fn, target_acceptance = {
+        "random-walk-gaussian": (mh_step, 0.3),
+        "leapfrog": (leapfrog_step, 0.7),
+    }[proposal.kind]
     state = ChainState(init, lp0)
     scale = proposal.scale
 
     for t in range(run.burn_in):
         before = state.accept_count
         state = step_fn(state, target, proposal, rng, scale=scale)
-        if run.adapt:
-            accepted = float(state.accept_count > before)
-            c_t = 1.0 / (t + 10.0) ** 0.6
-            scale *= float(np.exp(c_t * (accepted - run.target_acceptance)))
+        accepted = float(state.accept_count > before)
+        c_t = 1.0 / (t + 10.0) ** 0.6
+        scale *= float(np.exp(c_t * (accepted - target_acceptance)))
 
     n_keep = (run.iterations - run.burn_in) // run.thin
     d = target.dim
@@ -213,9 +227,6 @@ def run_chain(target: PullbackTarget, init: np.ndarray, proposal: ProposalConfig
         coords_draws=coords,
         manifold_draws=points,
         acceptance_rate=state.acceptance_rate,
-        seed=run.seed,
-        proposal=proposal,
-        run=run,
         final_scale=scale,
     )
 

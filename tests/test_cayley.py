@@ -109,6 +109,45 @@ class TestRoundTripStiefel:
         with pytest.raises(DomainError):
             cayley_inverse_stiefel(Q)
 
+    @pytest.mark.parametrize("p,k", [(4, 2), (6, 3), (9, 4)])
+    def test_inverse_rejects_minus_one_eigenvalue(self, p, k):
+        """A top block Q1 = V diag(-1, cos theta) V^T makes I + Q1 singular at k >= 2."""
+        rng = np.random.default_rng(p * k)
+        theta = rng.uniform(0.2, 1.3, k - 1)
+        top = np.diag(np.concatenate([[-1.0], np.cos(theta)]))
+        bottom = np.zeros((p - k, k))
+        bottom[np.arange(k - 1), np.arange(1, k)] = np.sin(theta)
+        V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        Q = StiefelPoint(dims=ManifoldDims(p, k), Q=np.vstack([V @ top @ V.T, bottom @ V.T]))
+        with pytest.raises(DomainError):
+            cayley_inverse_stiefel(Q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SHAPES, st.floats(2.0, 4.0), st.integers(0, 2**32 - 1))
+    def test_round_trip_near_singular_top_block(self, pk, log_t, seed):
+        """phi -> Q -> phi stays accurate as I + Q1 approaches singularity.
+
+        With ||A||_2^2 = t, I + Q1 = 2 S^{-1} has s = sigma_min(I + Q1)
+        = 2/sigma_max(S) <= 2/(1 + t). The inverse solves with I + Q1 and
+        multiplies Q2 by I + F = 2 (I + Q1)^{-1}, of norm 2/s, so the error
+        in phi is a multiple of eps/s times (1 + 2/s). t stops at 1e4, where
+        the forward map's max |Q^T Q - I| (about 1e-12) is still far below
+        the StiefelPoint tolerance.
+        """
+        p, k = pk
+        dims = ManifoldDims(p, k)
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((p - k, k))
+        A *= np.sqrt(10.0**log_t) / np.linalg.norm(A, 2)
+        phi = StiefelCoords(dims=dims, b=rng.standard_normal(dims.n_b),
+                            a_vec=A.reshape(-1, order="F"))
+        Q = cayley_forward_stiefel(phi)
+        s = np.linalg.svd(np.eye(k) + Q.top_block, compute_uv=False)[-1]
+        assert s <= (1.0 + 1e-6) * 2.0 / (1.0 + 10.0**log_t)
+        back = cayley_inverse_stiefel(Q)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(back.phi - phi.phi)) <= 8.0 * (eps / s) * (1.0 + 2.0 / s)
+
 
 class TestGrassmann:
     @pytest.mark.parametrize("p,k", DIMS)

@@ -67,6 +67,9 @@ class TestExitCodes:
 
     def test_missing_required_options(self, capsys):
         assert parse_and_dispatch(["sample", "--p", "5", "--k", "2"]) == EXIT_USAGE
+        assert "missing required options: --iters, --seed, --out" in capsys.readouterr().err
+        assert parse_and_dispatch(["bingham-exp"]) == EXIT_USAGE
+        assert "options: --p, --k, --lambda, --seed, --out\n" in capsys.readouterr().err
 
     def test_invalid_dimensions(self, capsys, tmp_path):
         code = parse_and_dispatch([

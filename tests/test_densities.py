@@ -120,6 +120,15 @@ class TestPullback:
         val = pullback_log_density(uniform_log_density("grassmann"), coords)
         assert val == -np.inf
 
+    def test_grassmann_frame_rejected_at_domain_edge_is_minus_inf(self):
+        """Just inside the domain GrassmannPoint can reject the frame; with fn set that is a domain exit."""
+        dims = ManifoldDims(4, 2)
+        A = np.diag([np.sqrt(1.0 - 1e-13), 0.3])
+        coords = GrassmannCoords.from_vector(dims, A.reshape(-1, order="F"))
+        assert np.isfinite(pullback_log_density(uniform_log_density("grassmann"), coords))
+        g = LogDensity(fn=lambda q: float(q.Q[0, 0]), manifold="grassmann")
+        assert pullback_log_density(g, coords) == -np.inf
+
     def test_grassmann_pullback_in_domain(self):
         dims = ManifoldDims(4, 2)
         coords = GrassmannCoords.from_vector(dims, 0.2 * np.ones(4))

@@ -126,15 +126,14 @@ class TestFileFormats:
     def test_draws_round_trip_exactly(self, tmp_path):
         batch = self._batch()
         path = tmp_path / "draws.csv"
-        write_draws_csv(path, batch, manifold="stiefel", p=5, k=2)
+        write_draws_csv(path, batch, manifold="stiefel")
         header, coords, points = read_draws_csv(path)
         assert header == {"manifold": "stiefel", "p": 5, "k": 2, "n_coords": 7}
         assert np.array_equal(coords, batch.coords_draws)
         assert np.array_equal(points, batch.manifold_draws)
 
     def test_report_json_excludes_runtime(self, tmp_path):
-        report = ExperimentReport(name="x", config={"a": 1}, metrics={"m": 2.0},
-                                  runtime_seconds=12.5)
+        report = ExperimentReport(name="x", config={"a": 1}, metrics={"m": 2.0})
         path = write_report(report, tmp_path)
         doc = json.loads(path.read_text())
         assert doc["name"] == "x"

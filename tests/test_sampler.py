@@ -36,8 +36,6 @@ class TestConfigs:
             RunConfig(iterations=10, burn_in=10)
         with pytest.raises(ValueError):
             RunConfig(iterations=10, thin=0)
-        with pytest.raises(ValueError):
-            RunConfig(iterations=10, target_acceptance=1.5)
 
 
 class TestSteps:
@@ -130,10 +128,20 @@ class TestRunChain:
     def test_adaptation_moves_scale_toward_target_rate(self):
         """A far-too-large initial scale must shrink during burn-in."""
         target = uniform_target()
-        run = RunConfig(iterations=2500, burn_in=2000, seed=8, target_acceptance=0.3)
+        run = RunConfig(iterations=2500, burn_in=2000, seed=8)
         batch = run_chain(target, np.zeros(target.dim), ProposalConfig(scale=50.0), run)
         assert batch.final_scale < 50.0
         assert 0.05 < batch.acceptance_rate < 0.7
+
+    def test_burn_in_target_follows_proposal_kind(self):
+        """Burn-in tunes leapfrog toward acceptance 0.7 and the random walk toward 0.3."""
+        target = uniform_target(5, 2)
+        run = RunConfig(iterations=1200, burn_in=800, seed=2)
+        leapfrog = run_chain(target, np.zeros(target.dim),
+                             ProposalConfig(kind="leapfrog", scale=1.0, leapfrog_steps=4), run)
+        walk = run_chain(target, np.zeros(target.dim), ProposalConfig(scale=1.0), run)
+        assert 0.5 < leapfrog.acceptance_rate < 0.9
+        assert walk.acceptance_rate < 0.5
 
     def test_adaptation_freezes_after_burn_in(self):
         target = uniform_target()
@@ -152,7 +160,7 @@ class TestRunChain:
     def test_leapfrog_chain_on_uniform_target(self):
         target = uniform_target(5, 2)
         prop = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=4)
-        run = RunConfig(iterations=300, burn_in=100, seed=10, target_acceptance=0.7)
+        run = RunConfig(iterations=300, burn_in=100, seed=10)
         batch = run_chain(target, np.zeros(target.dim), prop, run)
         assert batch.acceptance_rate > 0.2
         for Q in batch.manifold_draws[::50]:
