@@ -26,6 +26,7 @@ __all__ = [
     "embed_skew",
     "embed_skew_grassmann",
     "cayley_forward_stiefel",
+    "stiefel_frame",
     "cayley_inverse_stiefel",
     "cayley_forward_grassmann",
     "cayley_inverse_grassmann",
@@ -225,28 +226,46 @@ def require_finite(M: np.ndarray, context: str) -> np.ndarray:
     return M
 
 
+def guard_resolvent(S: np.ndarray, context: str) -> np.ndarray:
+    """S itself, or ConditioningError if it is non-finite or ill-conditioned.
+
+    S = I_k + A^T A + (skew), so x^T S x >= |x|^2 and sigma_min(S) >= 1,
+    while sigma_max(S) <= ||S||_F <= k max|S_ij|. The reciprocal condition
+    number is therefore at least 1/(k max|S_ij|); the SVD that measures it
+    runs only when that bound falls below RCOND_CUTOFF.
+    """
+    # A NaN bound fails the comparison too, and then require_finite raises.
+    if not S.shape[0] * np.abs(S).max() * RCOND_CUTOFF <= 1.0:
+        sv = np.linalg.svd(require_finite(S, context), compute_uv=False)
+        rcond = sv[-1] / sv[0]
+        if rcond < RCOND_CUTOFF:
+            raise ConditioningError(f"{context}: reciprocal condition number {rcond:.3e} below cutoff")
+    return S
+
+
+def stiefel_frame(A: np.ndarray, S: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The frame [Q1; Q2] = [R; 2A] S^{-1} for S = I + A^T A - B, R = I - A^T A + B.
+
+    One guarded solve with S^T covers both blocks; the frame is the
+    (Fortran-ordered) transpose of its solution.
+    """
+    Q = np.linalg.solve(guard_resolvent(S, "cayley_forward_stiefel").T, np.vstack([R, A]).T).T
+    Q[S.shape[0]:] *= 2.0
+    return Q
+
+
 def cayley_forward_stiefel(phi: StiefelCoords) -> StiefelPoint:
     """Cayley transform of Stiefel coordinates, via the k x k block formulas.
 
-    Q1 = (I - A^T A + B)(I + A^T A - B)^{-1}, Q2 = 2 A (I + A^T A - B)^{-1}.
-    The system matrix S is I + SPD plus skew, so its singular values are
-    at least 1; it is checked for conditioning once, before both solves.
+    Q1 = (I - A^T A + B)(I + A^T A - B)^{-1}, Q2 = 2 A (I + A^T A - B)^{-1},
+    from one solve (`stiefel_frame`). The coordinates are validated here, at
+    the typed boundary, and so is the returned frame.
     """
-    dims = phi.dims
     A = phi.a_matrix()
     B = phi.b_matrix()
     AtA = A.T @ A
-    Ik = np.eye(dims.k)
-    S = require_finite(Ik + AtA - B, "cayley_forward_stiefel")
-    sv = np.linalg.svd(S, compute_uv=False)
-    rcond = sv[-1] / sv[0]
-    if rcond < RCOND_CUTOFF:
-        raise ConditioningError(
-            f"cayley_forward_stiefel: reciprocal condition number {rcond:.3e} below cutoff"
-        )
-    Q1 = np.linalg.solve(S.T, (Ik - AtA + B).T).T
-    Q2 = 2.0 * np.linalg.solve(S.T, A.T).T
-    return StiefelPoint(dims=dims, Q=np.vstack([Q1, Q2]))
+    Ik = np.eye(phi.dims.k)
+    return StiefelPoint(dims=phi.dims, Q=stiefel_frame(A, Ik + AtA - B, Ik - AtA + B))
 
 
 def cayley_forward_dense(coords) -> np.ndarray:
@@ -283,13 +302,17 @@ def grassmann_spectrum(A: np.ndarray, context: str, vectors: bool = False,
     """Ascending eigenvalues lam of A^T A, or (lam, V) with `vectors`.
 
     The one decomposition every Grassmann route shares. Non-finite entries
-    raise ConditioningError before LAPACK sees them; with `in_domain`,
-    lam_max >= 1 raises DomainError. Values alone come from eigvalsh.
+    raise ConditioningError before LAPACK sees them. With `in_domain`, the
+    one domain predicate of the package applies: the frame's top block has
+    smallest eigenvalue (1 - lam_max)/(1 + lam_max), and unless that exceeds
+    SPD_EIG_CUTOFF (as `GrassmannPoint` requires) DomainError is raised.
+    This covers lam_max >= 1. Values alone come from eigvalsh.
     """
     AtA = require_finite(A.T @ A, context)
     lam, V = np.linalg.eigh(AtA) if vectors else (np.linalg.eigvalsh(AtA), None)
-    if in_domain and lam[-1] >= 1.0:
-        raise DomainError(f"{context}: max eigenvalue of A^T A {lam[-1]:.6f} >= 1")
+    if in_domain and not (1.0 - lam[-1]) / (1.0 + lam[-1]) > SPD_EIG_CUTOFF:
+        raise DomainError(f"{context}: max eigenvalue of A^T A {lam[-1]:.17g} "
+                          "is at or past the domain edge")
     return (lam, V) if vectors else lam
 
 

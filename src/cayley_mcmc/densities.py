@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .cayley import (
     GrassmannCoords,
@@ -25,15 +25,20 @@ from .cayley import (
     cayley_forward_stiefel,
     grassmann_frame,
     grassmann_spectrum,
+    stiefel_frame,
 )
 from .errors import ConditioningError, DomainError
 from .jacobian import (
     derivative_stiefel,
     grad_log_jacobian_eig,
     grad_log_jacobian_stiefel,
+    grassmann_log_jacobian,
     log_jacobian_block_grassmann,
     log_jacobian_stiefel,
+    stiefel_log_jacobian,
+    stiefel_log_jacobian_constant,
 )
+from .special_matrices import _subdiag_flat, skew_at
 
 __all__ = [
     "LogDensity",
@@ -147,6 +152,9 @@ def pullback_log_density(g: LogDensity, coords: Coords) -> float:
     just inside it whose frame fails `GrassmannPoint` validation when the
     density needs the frame. Numerical failures, a NaN value among them,
     raise ConditioningError instead of masking bugs as rejections.
+
+    This is the typed route; `PullbackTarget` evaluates the same kernels
+    from raw vectors and must agree with it exactly.
     """
     # A constant manifold density (fn unset) pulls back to the Jacobian alone.
     if isinstance(coords, StiefelCoords):
@@ -173,36 +181,72 @@ def pullback_log_density(g: LogDensity, coords: Coords) -> float:
 class PullbackTarget:
     """Callable pullback of a manifold log density to coordinate vectors.
 
-    Bundles the target density with the manifold dimensions so samplers can
-    work with raw vectors; also maps vectors back to typed coordinates and
-    manifold points.
+    The constructor builds the plan for one shape: the manifold, the
+    coordinate count, the split of a vector into the skew block b and the
+    (p-k) x k matrix A, the cached skew index positions, I_k and the
+    log-Jacobian constant. A call then evaluates the pullback straight from
+    the raw vector, through the same array kernels as the typed routes
+    (`pullback_log_density`, `log_jacobian_stiefel`, ...), with no coordinate
+    object and no shape check: callers validate a vector's shape once, at
+    the boundary (`run_chain` checks its initial state). `coords` and
+    `point` map vectors to typed, validated coordinates and frames.
     """
 
     def __init__(self, g: LogDensity, dims: ManifoldDims):
         self.g = g
         self.dims = dims
-
-    @property
-    def dim(self) -> int:
-        return self.dims.d_v if self.g.manifold == "stiefel" else self.dims.d_g
-
-    @property
-    def n_b(self) -> int:
-        return self.dims.n_b if self.g.manifold == "stiefel" else 0
+        self._stiefel = g.manifold == "stiefel"
+        self.dim = dims.d_v if self._stiefel else dims.d_g
+        self.n_b = dims.n_b if self._stiefel else 0
+        self._a_shape = (dims.p - dims.k, dims.k)
+        self._skew_positions = _subdiag_flat(dims.k)
+        self._eye = np.eye(dims.k)
+        self._log_j_constant = stiefel_log_jacobian_constant(dims)
 
     def coords(self, vector: np.ndarray) -> Coords:
-        if self.g.manifold == "stiefel":
+        if self._stiefel:
             return StiefelCoords.from_vector(self.dims, vector)
         return GrassmannCoords.from_vector(self.dims, vector)
 
+    def _stiefel_blocks(self, vector: np.ndarray):
+        """A, A^T A and B of a Stiefel coordinate vector."""
+        A = vector[self.n_b:].reshape(self._a_shape, order="F")
+        B = skew_at(vector[:self.n_b], self.dims.k, self._skew_positions)
+        return A, A.T @ A, B
+
+    def _grassmann_point(self, A: np.ndarray) -> GrassmannPoint:
+        lam, V = grassmann_spectrum(A, "cayley_forward_grassmann", vectors=True)
+        return GrassmannPoint(dims=self.dims, Q=grassmann_frame(A, lam, V))
+
     def point(self, vector: np.ndarray) -> Point:
-        c = self.coords(vector)
-        if isinstance(c, StiefelCoords):
-            return cayley_forward_stiefel(c)
-        return cayley_forward_grassmann(c)
+        """The validated frame of a coordinate vector."""
+        if not self._stiefel:
+            return self._grassmann_point(vector.reshape(self._a_shape, order="F"))
+        A, AtA, B = self._stiefel_blocks(vector)
+        return StiefelPoint(dims=self.dims,
+                            Q=stiefel_frame(A, self._eye + AtA - B, self._eye - AtA + B))
 
     def __call__(self, vector: np.ndarray) -> float:
-        return pullback_log_density(self.g, self.coords(vector))
+        """The pullback at a raw coordinate vector; as `pullback_log_density`."""
+        if self._stiefel:
+            A, AtA, B = self._stiefel_blocks(vector)
+            S = self._eye + AtA - B
+            value = stiefel_log_jacobian(S, self.dims.p, self._log_j_constant)
+            if self.g.fn is not None:
+                Q = stiefel_frame(A, S, self._eye - AtA + B)
+                value = self.g(StiefelPoint(dims=self.dims, Q=Q)) + value
+        else:
+            A = vector.reshape(self._a_shape, order="F")
+            try:
+                value = grassmann_log_jacobian(A, self.dims.p)
+                point = None if self.g.fn is None else self._grassmann_point(A)
+            except DomainError:
+                return -np.inf
+            if point is not None:
+                value = self.g(point) + value
+        if math.isnan(value):
+            raise ConditioningError("pullback_log_density: log target is NaN")
+        return value
 
     @property
     def has_gradient(self) -> bool:
@@ -220,7 +264,7 @@ class PullbackTarget:
         if not self.has_gradient:
             raise ValueError(f"target {self.g.name!r} has an fn but no grad_fn")
         coords = self.coords(vector)
-        if isinstance(coords, GrassmannCoords):
+        if not self._stiefel:
             return _grassmann_gradient(self.g, coords)
         grad = grad_log_jacobian_stiefel(coords)
         if self.g.fn is not None:
@@ -250,20 +294,22 @@ def _grassmann_gradient(g: LogDensity, psi: GrassmannCoords) -> np.ndarray:
 
 
 class EntryMarginal:
-    """Exact marginal density of a single entry of a uniform frame.
+    """Exact marginal law of a single entry of a uniform frame.
 
-    f(x) is proportional to (1 - x^2)^((p-3)/2) on (-1, 1): any single
-    entry of Q is an entry of a uniformly distributed unit vector in R^p.
-    The normalizing constant and CDF grid come from numerical quadrature.
+    Any single entry x of Q is an entry of a uniformly distributed unit
+    vector in R^p, so x^2 ~ Beta(1/2, (p-1)/2) and x is symmetric: the
+    density is (1 - x^2)^((p-3)/2) / B(1/2, (p-1)/2) on (-1, 1) and the CDF
+    is 1/2 + 1/2 sign(x) I_{x^2}(1/2, (p-1)/2), with I the regularized
+    incomplete beta function. The law does not depend on k.
     """
 
-    def __init__(self, p: int, k: int):
-        if p - k < 1:
-            raise ValueError("require p - k >= 1")
+    def __init__(self, p: int):
+        if p < 2:
+            raise ValueError(f"require p >= 2, got p={p}")
         self.p = p
-        self.k = k
         self.exponent = 0.5 * (p - 3)
-        self._norm = integrate.quad(self._unnormalized, -1.0, 1.0)[0]
+        self._b = 0.5 * (p - 1)
+        self._norm = float(special.beta(0.5, self._b))
 
     def _unnormalized(self, x):
         return (1.0 - x * x) ** self.exponent
@@ -280,17 +326,10 @@ class EntryMarginal:
 
     def cdf(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            if xi <= -1.0:
-                out[i] = 0.0
-            elif xi >= 1.0:
-                out[i] = 1.0
-            else:
-                out[i] = integrate.quad(self._unnormalized, -1.0, xi)[0] / self._norm
+        out = 0.5 + 0.5 * np.sign(x) * special.betainc(0.5, self._b, np.minimum(x * x, 1.0))
         return out if out.size > 1 else float(out[0])
 
 
-def entry_marginal_log_pdf(x: float, p: int, k: int) -> float:
+def entry_marginal_log_pdf(x: float, p: int) -> float:
     """Log of the normalized single-entry marginal density at x."""
-    return EntryMarginal(p, k).log_pdf(x)
+    return EntryMarginal(p).log_pdf(x)

@@ -121,7 +121,7 @@ def run_uniform_experiment(p: int, k: int, draws: int, seed: int,
     batch = run_chain(target, np.zeros(dims.d_v), default_proposal(target), run_cfg)
 
     entry = batch.manifold_draws[:, 0, 0]
-    marginal = EntryMarginal(p, k)
+    marginal = EntryMarginal(p)
     ks_entry = ks_statistic(entry, marginal.cdf)
 
     scale_first = np.sqrt(p / 2.0) if dims.n_b > 0 else np.sqrt(float(p))
@@ -280,7 +280,7 @@ def write_draws_csv(path, batch: SampleBatch, manifold: str) -> None:
         for i in range(n):
             row = np.concatenate([batch.coords_draws[i],
                                   batch.manifold_draws[i].reshape(-1, order="F")])
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_draws_csv(path):

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import GrassmannCoords, StiefelCoords, grassmann_domain_margin, grassmann_spectrum
+from .cayley import (
+    GrassmannCoords,
+    ManifoldDims,
+    StiefelCoords,
+    grassmann_domain_margin,
+    grassmann_spectrum,
+    guard_resolvent,
+)
 from .errors import ConditioningError, DomainError
 from .special_matrices import coordinate_pairs, vech_strict
 
@@ -26,9 +33,11 @@ __all__ = [
     "derivative_grassmann",
     "log_jacobian_naive",
     "log_jacobian_stiefel",
+    "stiefel_log_jacobian",
     "log_jacobian_block_stiefel",
     "grad_log_jacobian_stiefel",
     "log_jacobian_block_grassmann",
+    "grassmann_log_jacobian",
     "grad_log_jacobian_grassmann",
 ]
 
@@ -57,11 +66,7 @@ def _resolvent_blocks(A: np.ndarray, B: np.ndarray, p: int, k: int):
     C22 = I_{p-k} - A C11 A^T. Only one k x k inverse is needed.
     """
     Ik = np.eye(k)
-    S = Ik - B + A.T @ A
-    sv = np.linalg.svd(S, compute_uv=False)
-    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-    if rcond < 1e-14:
-        raise ConditioningError(f"resolvent solve: reciprocal condition number {rcond:.3e}")
+    S = guard_resolvent(Ik - B + A.T @ A, "resolvent solve")
     C11 = np.linalg.solve(S, Ik)
     C21 = A @ C11
     C12 = -C11 @ A.T
@@ -142,10 +147,18 @@ def _log_jacobian_lowrank(lam: np.ndarray, p: int, k: int) -> float:
                  + 0.5 * np.log1p(np.outer(lam, lam + 2.0)).sum())
 
 
+def grassmann_log_jacobian(A: np.ndarray, p: int) -> float:
+    """The Grassmann log-Jacobian kernel on the (p-k) x k matrix A; one eigvalsh of A^T A.
+
+    Outside the domain (see `grassmann_spectrum`) it raises DomainError.
+    """
+    lam = grassmann_spectrum(A, "log_jacobian_block_grassmann")
+    return _log_jacobian_lowrank(lam, p, A.shape[1])
+
+
 def log_jacobian_block_grassmann(psi: GrassmannCoords) -> float:
     """Closed-form log-Jacobian of the Grassmann Cayley map; one eigvalsh of A^T A."""
-    lam = grassmann_spectrum(psi.a_matrix(), "log_jacobian_block_grassmann")
-    return _log_jacobian_lowrank(lam, psi.dims.p, psi.dims.k)
+    return grassmann_log_jacobian(psi.a_matrix(), psi.dims.p)
 
 
 def grad_log_jacobian_eig(A: np.ndarray, lam: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
@@ -172,6 +185,19 @@ def grad_log_jacobian_grassmann(psi: GrassmannCoords) -> np.ndarray:
     return grad_log_jacobian_eig(A, lam, V, psi.dims.p).reshape(-1, order="F")
 
 
+def stiefel_log_jacobian_constant(dims: ManifoldDims) -> float:
+    """The additive constant (d_V + k(k-1)/4) log 2 of the Stiefel log-Jacobian."""
+    return (dims.d_v + dims.k * (dims.k - 1) / 4.0) * LOG2
+
+
+def stiefel_log_jacobian(S: np.ndarray, p: int, constant: float) -> float:
+    """The Stiefel log-Jacobian kernel: constant - (p-1) log det S for S = I - B + A^T A."""
+    sign, logabsdet = np.linalg.slogdet(S)
+    if sign <= 0:
+        raise ConditioningError("log_jacobian_stiefel: resolvent block not orientation-preserving")
+    return float(constant - (p - 1) * logabsdet)
+
+
 def log_jacobian_stiefel(phi: StiefelCoords) -> float:
     """Closed-form log-Jacobian for the full-frame parametrization.
 
@@ -183,15 +209,9 @@ def log_jacobian_stiefel(phi: StiefelCoords) -> float:
     definite). Agrees with the naive evaluation to machine precision and
     has a tractable gradient.
     """
-    dims = phi.dims
     A = phi.a_matrix()
-    B = phi.b_matrix()
-    k = dims.k
-    S = np.eye(k) - B + A.T @ A
-    sign, logabsdet = np.linalg.slogdet(S)
-    if sign <= 0:
-        raise ConditioningError("log_jacobian_stiefel: resolvent block not orientation-preserving")
-    return float((dims.d_v + k * (k - 1) / 4.0) * LOG2 - (dims.p - 1) * logabsdet)
+    S = np.eye(phi.dims.k) + A.T @ A - phi.b_matrix()
+    return stiefel_log_jacobian(S, phi.dims.p, stiefel_log_jacobian_constant(phi.dims))
 
 
 # The Stiefel route is the closed form; the name is kept for callers of the

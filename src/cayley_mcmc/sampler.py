@@ -12,11 +12,18 @@ The proposal kind fixes both the step function and the acceptance rate
 that burn-in tunes the scale toward: 0.3 for the random walk, 0.7 for
 leapfrog. Randomness comes from numpy's PCG64 generator seeded
 explicitly, so runs are deterministic given (seed, config, target).
+
+Validation happens at the boundary, once: `run_chain` checks the initial
+vector's shape, and every kept draw is mapped to a validated
+`StiefelPoint`/`GrassmannPoint`. In between, each step hands a raw vector
+to the target, which evaluates it through the per-shape plan its
+constructor built; the random-walk scale vector is built once per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -29,6 +36,7 @@ __all__ = [
     "RunConfig",
     "ChainState",
     "SampleBatch",
+    "coordinate_scales",
     "mh_step",
     "leapfrog_step",
     "run_chain",
@@ -96,31 +104,39 @@ class SampleBatch:
     final_scale: float
 
 
-def _block_step(target: PullbackTarget, proposal: ProposalConfig, scale: float,
-                eps: np.ndarray) -> np.ndarray:
-    """Scale a standard normal increment, blockwise when configured."""
+def coordinate_scales(target: PullbackTarget, proposal: ProposalConfig) -> np.ndarray:
+    """Per-coordinate multipliers of the random-walk increment.
+
+    The skew-block and A-block scales on V(k,p) when `per_block_scales` is
+    set, ones otherwise. `run_chain` builds this once per run.
+    """
+    scales = np.ones(target.dim)
     if proposal.per_block_scales is not None:
-        n_b = target.n_b
-        step = eps.copy()
-        step[:n_b] *= proposal.per_block_scales[0]
-        step[n_b:] *= proposal.per_block_scales[1]
-        return scale * step
-    return scale * eps
+        scales[:target.n_b] = proposal.per_block_scales[0]
+        scales[target.n_b:] = proposal.per_block_scales[1]
+    return scales
 
 
 def mh_step(state: ChainState, target: PullbackTarget, proposal: ProposalConfig,
-            rng: np.random.Generator, scale: Optional[float] = None) -> ChainState:
+            rng: np.random.Generator, scale: Optional[float] = None,
+            coord_scales: Optional[np.ndarray] = None) -> ChainState:
     """One random-walk Metropolis step; symmetric proposal, so no q-ratio.
 
-    A proposal with -inf pullback (out-of-domain Grassmann coordinates) is
+    The increment is scale * (eps * coord_scales) for standard normal eps;
+    `coord_scales` defaults to `coordinate_scales(target, proposal)`. A
+    proposal with -inf pullback (out-of-domain Grassmann coordinates) is
     always rejected. Numerical failures evaluating the target propagate.
     """
     if scale is None:
         scale = proposal.scale
+    if coord_scales is None:
+        coord_scales = coordinate_scales(target, proposal)
     eps = rng.standard_normal(state.vector.shape[0])
-    candidate = state.vector + _block_step(target, proposal, scale, eps)
+    candidate = state.vector + scale * (eps * coord_scales)
     log_target = target(candidate)
-    log_u = np.log(rng.uniform())
+    # rng.random() is the double rng.uniform() draws before adding 0 and multiplying by 1;
+    # it skips uniform()'s argument handling.
+    log_u = np.log(rng.random())
     if log_target - state.log_target > log_u:
         return ChainState(candidate, log_target, state.accept_count + 1, state.step_count + 1)
     return ChainState(state.vector, state.log_target, state.accept_count, state.step_count + 1)
@@ -185,8 +201,8 @@ def run_chain(target: PullbackTarget, init: np.ndarray, proposal: ProposalConfig
     sampling phase is a genuine Markov chain.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
-    if init.shape[0] != target.dim:
-        raise ValueError(f"init has length {init.shape[0]}, expected {target.dim}")
+    if init.shape != (target.dim,):
+        raise ValueError(f"init has shape {init.shape}, expected ({target.dim},)")
     lp0 = target(init)
     if not np.isfinite(lp0):
         raise ValueError("initial coordinates have non-finite log target")
@@ -194,10 +210,11 @@ def run_chain(target: PullbackTarget, init: np.ndarray, proposal: ProposalConfig
     rng = np.random.Generator(np.random.PCG64(run.seed))
     # The step function and the acceptance rate burn-in tunes toward, per kind.
     # Looked up per call, so a step function replaced on the module is used.
-    step_fn, target_acceptance = {
-        "random-walk-gaussian": (mh_step, 0.3),
-        "leapfrog": (leapfrog_step, 0.7),
-    }[proposal.kind]
+    if proposal.kind == "leapfrog":
+        step_fn, target_acceptance = leapfrog_step, 0.7
+    else:
+        step_fn = partial(mh_step, coord_scales=coordinate_scales(target, proposal))
+        target_acceptance = 0.3
     state = ChainState(init, lp0)
     scale = proposal.scale
 

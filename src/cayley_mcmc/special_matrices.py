@@ -155,7 +155,12 @@ def skew_from_vech(b: np.ndarray, n: int) -> np.ndarray:
     expected = n * (n - 1) // 2
     if b.shape != (expected,):
         raise ValueError(f"expected vector of length {expected} for n={n}, got shape {b.shape}")
-    lower, upper = _subdiag_flat(n)
+    return skew_at(b, n, _subdiag_flat(n))
+
+
+def skew_at(b: np.ndarray, n: int, positions: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """`skew_from_vech` without the checks, for `positions` = `_subdiag_flat(n)`."""
+    lower, upper = positions
     B = np.zeros(n * n)
     B[lower] = b
     B[upper] = -b

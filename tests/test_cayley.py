@@ -21,6 +21,7 @@ from cayley_mcmc.cayley import (
     grassmann_domain_margin,
 )
 from cayley_mcmc.errors import CayleyError, ConditioningError, DomainError
+from cayley_mcmc.jacobian import derivative_stiefel
 
 DIMS = [(3, 1), (5, 3), (8, 4), (20, 5)]
 
@@ -81,6 +82,26 @@ class TestForwardStiefel:
         phi = StiefelCoords.from_vector(dims, np.zeros(dims.d_v))
         Q = cayley_forward_stiefel(phi).Q
         assert np.array_equal(Q, np.eye(6)[:, :2])
+
+
+class TestResolventGuard:
+    """S = I + A^T A - B has sigma_min >= 1, so rcond falls below 1e-14 only for huge A."""
+
+    def test_ill_conditioned_forward_map_raises(self):
+        dims = ManifoldDims(4, 2)
+        phi = StiefelCoords(dims=dims, b=np.zeros(1), a_vec=np.array([1e8, 0.0, 0.0, 0.0]))
+        with pytest.raises(ConditioningError, match="reciprocal condition number"):
+            cayley_forward_stiefel(phi)
+        with pytest.raises(ConditioningError, match="reciprocal condition number"):
+            derivative_stiefel(phi)
+
+    @pytest.mark.parametrize("size", [1e6, 1e7])
+    def test_large_but_well_conditioned_passes(self, size):
+        """At 1e6 the cheap bound clears S; at 1e7 the SVD runs and finds rcond 1."""
+        dims = ManifoldDims(4, 2)
+        phi = StiefelCoords(dims=dims, b=np.array([0.5]), a_vec=size * np.array([1.0, 0.0, 0.0, 1.0]))
+        Q = cayley_forward_stiefel(phi).Q
+        assert np.max(np.abs(Q.T @ Q - np.eye(2))) < 1e-10
 
 
 class TestRoundTripStiefel:

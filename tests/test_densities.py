@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from cayley_mcmc.cayley import (
     GrassmannCoords,
     ManifoldDims,
     StiefelCoords,
+    cayley_forward_grassmann,
     cayley_forward_stiefel,
 )
 from cayley_mcmc.densities import (
@@ -21,8 +22,9 @@ from cayley_mcmc.densities import (
     uniform_log_density,
 )
 from cayley_mcmc.diagnostics import haar_stiefel, ks_statistic
-from cayley_mcmc.errors import ConditioningError
+from cayley_mcmc.errors import ConditioningError, DomainError
 from cayley_mcmc.jacobian import log_jacobian_block_grassmann, log_jacobian_stiefel
+from cayley_mcmc.sampler import ProposalConfig, RunConfig, run_chain
 
 
 class TestLogDensity:
@@ -121,11 +123,11 @@ class TestPullback:
         assert val == -np.inf
 
     def test_grassmann_frame_rejected_at_domain_edge_is_minus_inf(self):
-        """Just inside the domain GrassmannPoint can reject the frame; with fn set that is a domain exit."""
+        """Where GrassmannPoint would reject the frame, every target has a domain exit."""
         dims = ManifoldDims(4, 2)
         A = np.diag([np.sqrt(1.0 - 1e-13), 0.3])
         coords = GrassmannCoords.from_vector(dims, A.reshape(-1, order="F"))
-        assert np.isfinite(pullback_log_density(uniform_log_density("grassmann"), coords))
+        assert pullback_log_density(uniform_log_density("grassmann"), coords) == -np.inf
         g = LogDensity(fn=lambda q: float(q.Q[0, 0]), manifold="grassmann")
         assert pullback_log_density(g, coords) == -np.inf
 
@@ -192,6 +194,67 @@ class TestPullbackTarget:
         assert isinstance(t_v.coords(np.zeros(t_v.dim)), StiefelCoords)
         assert isinstance(t_g.coords(np.zeros(t_g.dim)), GrassmannCoords)
 
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    @pytest.mark.parametrize("p,k", [(2, 1), (5, 2), (12, 3)])
+    def test_raw_vector_value_equals_typed_route(self, manifold, p, k):
+        """The plan's raw-vector value is the typed pullback, bit for bit, exits and all."""
+        rng = np.random.default_rng(p * 10 + k)
+        dims = ManifoldDims(p, k)
+        params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
+                                         np.linspace(3.0, 1.0, k))
+        exits = 0
+        for g in (uniform_log_density(manifold), bingham_log_density(params, manifold)):
+            target = PullbackTarget(g, dims)
+            for size in (0.1, 0.5, 1.0, 2.0, 5.0):
+                for _ in range(5):
+                    x = size * rng.standard_normal(target.dim) / np.sqrt(p)
+                    value = target(x)
+                    assert value == pullback_log_density(g, target.coords(x))
+                    exits += value == -np.inf
+            nan = np.zeros(target.dim)
+            nan[-1] = np.nan
+            with pytest.raises(ConditioningError):
+                target(nan)
+            with pytest.raises(ConditioningError):
+                pullback_log_density(g, target.coords(nan))
+        if manifold == "grassmann":
+            assert exits > 0
+
+    def test_raw_vector_frame_equals_typed_forward_map(self):
+        rng = np.random.default_rng(3)
+        dims = ManifoldDims(9, 3)
+        for manifold, forward in (("stiefel", cayley_forward_stiefel),
+                                  ("grassmann", cayley_forward_grassmann)):
+            target = PullbackTarget(uniform_log_density(manifold), dims)
+            for _ in range(10):
+                x = 0.2 * rng.standard_normal(target.dim)
+                assert np.array_equal(target.point(x).Q, forward(target.coords(x)).Q)
+
+    def test_uniform_grassmann_target_exits_where_the_frame_is_rejected(self):
+        """The uniform target shares GrassmannPoint's edge, so a chain never keeps a rejected frame."""
+        dims = ManifoldDims(4, 2)
+        target = PullbackTarget(uniform_log_density("grassmann"), dims)
+        edge = np.diag([np.sqrt(1.0 - 1e-13), 0.3]).reshape(-1, order="F")
+        with pytest.raises(DomainError):
+            cayley_forward_grassmann(target.coords(edge))
+        assert target(edge) == -np.inf
+        # Margins 1 - lam_max on both sides of the edge, which sits near 2e-12.
+        for margin in (-1e-3, -1e-12, 1e-14, 5e-13, 1.9e-12, 2.1e-12, 3e-12, 1e-10, 1e-3):
+            x = np.diag([np.sqrt(1.0 - margin), 0.3]).reshape(-1, order="F")
+            try:
+                cayley_forward_grassmann(target.coords(x))
+                rejected = False
+            except DomainError:
+                rejected = True
+            assert (target(x) == -np.inf) == rejected, margin
+        # Steps of 2e-13 from a margin of 2.5e-12 cross the edge; every kept frame is valid.
+        inside = np.diag([np.sqrt(1.0 - 2.5e-12), 0.3]).reshape(-1, order="F")
+        for seed in (1, 2):
+            batch = run_chain(target, inside, ProposalConfig(scale=2e-13),
+                              RunConfig(iterations=400, seed=seed))
+            assert batch.manifold_draws.shape == (400, 4, 2)
+            assert batch.acceptance_rate < 1.0
+
     def test_grassmann_gradient_matches_central_differences(self):
         rng = np.random.default_rng(9)
         dims = ManifoldDims(6, 2)
@@ -230,26 +293,38 @@ class TestPullbackTarget:
 
 class TestEntryMarginal:
     def test_pdf_integrates_to_one(self):
-        m = EntryMarginal(10, 3)
+        m = EntryMarginal(10)
         grid = np.linspace(-1, 1, 20001)
         assert abs(np.trapezoid(m.pdf(grid), grid) - 1.0) < 1e-6
 
     def test_cdf_endpoints(self):
-        m = EntryMarginal(7, 2)
+        m = EntryMarginal(7)
         assert m.cdf(-1.0) == 0.0
         assert m.cdf(1.0) == 1.0
         assert abs(m.cdf(0.0) - 0.5) < 1e-12
 
     def test_log_pdf_consistent_with_pdf(self):
-        m = EntryMarginal(8, 3)
+        m = EntryMarginal(8)
         for x in (-0.5, 0.0, 0.7):
             assert abs(np.exp(m.log_pdf(x)) - float(m.pdf(np.array(x)))) < 1e-12
         assert m.log_pdf(1.5) == -np.inf
-        assert entry_marginal_log_pdf(0.2, 8, 3) == m.log_pdf(0.2)
+        assert entry_marginal_log_pdf(0.2, 8) == m.log_pdf(0.2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 53])
+    def test_exact_law_matches_quadrature(self, p):
+        """The incomplete-beta CDF and beta normalizer against numerical quadrature."""
+        m = EntryMarginal(p)
+        density = lambda x: (1.0 - x * x) ** (0.5 * (p - 3))
+        norm = integrate.quad(density, -1.0, 1.0)[0]
+        assert m.pdf(np.array(0.3)) == pytest.approx(density(0.3) / norm, rel=1e-9)
+        grid = np.array([-0.999, -0.7, -0.2, -1e-3, 0.0, 0.05, 0.4, 0.9])
+        oracle = [integrate.quad(density, -1.0, x)[0] / norm for x in grid]
+        assert np.max(np.abs(m.cdf(grid) - oracle)) < 1e-9
+        assert m.cdf(-2.0) == 0.0 and m.cdf(2.0) == 1.0
 
     @pytest.mark.parametrize("p,k", [(5, 3), (20, 2)])
     def test_matches_exact_haar_sampling(self, p, k):
         """KS distance against direct Gram-Schmidt draws must be small."""
         rng = np.random.default_rng(42)
         samples = np.array([haar_stiefel(p, k, rng).Q[0, 0] for _ in range(4000)])
-        assert ks_statistic(samples, EntryMarginal(p, k).cdf) < 0.035
+        assert ks_statistic(samples, EntryMarginal(p).cdf) < 0.035

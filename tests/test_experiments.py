@@ -72,7 +72,7 @@ class TestUniformExperiment:
         report = run_uniform_experiment(5, 2, draws=200, seed=4, thin=2,
                                         burn_in=200, out_dir=tmp_path)
         _, _, points = read_draws_csv(tmp_path / "draws.csv")
-        ks = ks_statistic(points[:, 0, 0], EntryMarginal(5, 2).cdf)
+        ks = ks_statistic(points[:, 0, 0], EntryMarginal(5).cdf)
         assert ks == pytest.approx(report.metrics["ks_top_left_entry"], abs=1e-12)
 
 

@@ -3,12 +3,26 @@
 import numpy as np
 import pytest
 
-from cayley_mcmc.cayley import ManifoldDims
-from cayley_mcmc.densities import LogDensity, PullbackTarget, uniform_log_density
+from cayley_mcmc.cayley import (
+    ManifoldDims,
+    StiefelCoords,
+    cayley_forward_grassmann,
+    cayley_forward_stiefel,
+)
+from cayley_mcmc.densities import (
+    BinghamParams,
+    LogDensity,
+    PullbackTarget,
+    bingham_log_density,
+    pullback_log_density,
+    uniform_log_density,
+)
 from cayley_mcmc.sampler import (
     ChainState,
     ProposalConfig,
     RunConfig,
+    coordinate_scales,
+    default_proposal,
     init_from_manifold,
     leapfrog_step,
     mh_step,
@@ -165,6 +179,57 @@ class TestRunChain:
         assert batch.acceptance_rate > 0.2
         for Q in batch.manifold_draws[::50]:
             assert np.max(np.abs(Q.T @ Q - np.eye(2))) < 1e-10
+
+
+class TypedRouteTarget(PullbackTarget):
+    """Reference target: every value and kept frame goes through the typed API."""
+
+    def __call__(self, vector):
+        return pullback_log_density(self.g, self.coords(vector))
+
+    def point(self, vector):
+        coords = self.coords(vector)
+        if isinstance(coords, StiefelCoords):
+            return cayley_forward_stiefel(coords)
+        return cayley_forward_grassmann(coords)
+
+
+class TestRawVectorRoute:
+    def test_scale_vector_matches_copy_and_slice(self):
+        """scale * (eps * s) is bit-identical to scaling each block of a copy in place."""
+        target = uniform_target(9, 3)
+        proposal = default_proposal(target)
+        eps = np.random.default_rng(0).standard_normal(target.dim)
+        blocks = eps.copy()
+        blocks[:target.n_b] *= proposal.per_block_scales[0]
+        blocks[target.n_b:] *= proposal.per_block_scales[1]
+        scale = 0.37
+        assert np.array_equal(scale * (eps * coordinate_scales(target, proposal)), scale * blocks)
+        plain = ProposalConfig(scale=scale)
+        assert np.array_equal(scale * (eps * coordinate_scales(target, plain)), scale * eps)
+
+    @pytest.mark.parametrize("manifold,density", [("stiefel", "uniform"), ("stiefel", "bingham"),
+                                                  ("grassmann", "uniform"),
+                                                  ("grassmann", "bingham")])
+    def test_chain_equals_typed_route_chain(self, manifold, density):
+        rng = np.random.default_rng(11)
+        dims = ManifoldDims(8, 3)
+        g = uniform_log_density(manifold)
+        if density == "bingham":
+            params = BinghamParams.from_data(rng.standard_normal((30, 8)), 1.0,
+                                             np.array([4.0, 2.0, 1.0]))
+            g = bingham_log_density(params, manifold)
+        raw = PullbackTarget(g, dims)
+        proposal = default_proposal(raw, scale=0.8 if manifold == "stiefel" else 0.3)
+        run = RunConfig(iterations=600, burn_in=200, thin=2, seed=21)
+        init = np.zeros(raw.dim)
+        batch = run_chain(raw, init, proposal, run)
+        reference = run_chain(TypedRouteTarget(g, dims), init, proposal, run)
+        assert np.array_equal(batch.coords_draws, reference.coords_draws)
+        assert np.array_equal(batch.manifold_draws, reference.manifold_draws)
+        assert batch.acceptance_rate == reference.acceptance_rate
+        assert batch.final_scale == reference.final_scale
+        assert 0.0 < batch.acceptance_rate < 1.0
 
 
 class TestInitFromManifold:
