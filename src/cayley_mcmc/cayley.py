@@ -141,6 +141,40 @@ def _check_point_shape(dims: ManifoldDims, Q: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _max_abs(M: np.ndarray) -> np.ndarray:
+    """max |M_ij| of each matrix of a stack M (n, ., .)."""
+    n, rows, cols = M.shape
+    return np.maximum.reduce(np.abs(M).reshape(n, rows * cols), axis=1)
+
+
+def check_frames(Q: np.ndarray, grassmann: bool = False) -> None:
+    """Apply every `StiefelPoint` check, or every `GrassmannPoint` check, to a stack Q (n, p, k).
+
+    The checks: max |Q^T Q - I| <= ORTHO_TOL and, on G(k,p), a top block Q1
+    with max |Q1 - Q1^T| <= ORTHO_TOL and smallest eigenvalue above
+    SPD_EIG_CUTOFF. Each runs once over the whole stack; the first frame
+    that fails raises the error its point constructor raises, for the first
+    check it fails in that order.
+    """
+    k = Q.shape[-1]
+    ortho = _max_abs(Q.swapaxes(-1, -2) @ Q - np.eye(k))
+    failing = ortho > ORTHO_TOL
+    if grassmann:
+        Q1 = Q[:, :k]
+        Q1t = Q1.swapaxes(-1, -2)
+        sym = _max_abs(Q1 - Q1t)
+        lam_min = np.linalg.eigvalsh(0.5 * (Q1 + Q1t)).min(axis=-1)
+        failing |= (sym > ORTHO_TOL) | (lam_min <= SPD_EIG_CUTOFF)
+    if not failing.any():
+        return
+    i = np.flatnonzero(failing)[0]
+    if ortho[i] > ORTHO_TOL:
+        raise ValueError(f"columns not orthonormal: max |Q^T Q - I| = {ortho[i]:.3e}")
+    if sym[i] > ORTHO_TOL:
+        raise DomainError(f"top block not symmetric: max |Q1 - Q1^T| = {sym[i]:.3e}")
+    raise DomainError(f"top block not positive definite: min eigenvalue {lam_min[i]:.3e}")
+
+
 @dataclass(frozen=True)
 class StiefelPoint:
     """A p x k matrix with orthonormal columns; validated at construction."""
@@ -150,9 +184,7 @@ class StiefelPoint:
 
     def __post_init__(self):
         Q = _check_point_shape(self.dims, self.Q)
-        err = np.max(np.abs(Q.T @ Q - np.eye(self.dims.k)))
-        if err > ORTHO_TOL:
-            raise ValueError(f"columns not orthonormal: max |Q^T Q - I| = {err:.3e}")
+        check_frames(Q[None])
         object.__setattr__(self, "Q", Q)
 
     @property
@@ -173,16 +205,7 @@ class GrassmannPoint:
 
     def __post_init__(self):
         Q = _check_point_shape(self.dims, self.Q)
-        err = np.max(np.abs(Q.T @ Q - np.eye(self.dims.k)))
-        if err > ORTHO_TOL:
-            raise ValueError(f"columns not orthonormal: max |Q^T Q - I| = {err:.3e}")
-        Q1 = Q[: self.dims.k, :]
-        sym_err = np.max(np.abs(Q1 - Q1.T))
-        if sym_err > ORTHO_TOL:
-            raise DomainError(f"top block not symmetric: max |Q1 - Q1^T| = {sym_err:.3e}")
-        lam_min = np.linalg.eigvalsh(0.5 * (Q1 + Q1.T)).min()
-        if lam_min <= SPD_EIG_CUTOFF:
-            raise DomainError(f"top block not positive definite: min eigenvalue {lam_min:.3e}")
+        check_frames(Q[None], grassmann=True)
         object.__setattr__(self, "Q", Q)
 
     @property
@@ -227,19 +250,23 @@ def require_finite(M: np.ndarray, context: str) -> np.ndarray:
 
 
 def guard_resolvent(S: np.ndarray, context: str) -> np.ndarray:
-    """S itself, or ConditioningError if it is non-finite or ill-conditioned.
+    """S itself, or ConditioningError if a matrix of S (..., k, k) is non-finite or ill-conditioned.
 
     S = I_k + A^T A + (skew), so x^T S x >= |x|^2 and sigma_min(S) >= 1,
     while sigma_max(S) <= ||S||_F <= k max|S_ij|. The reciprocal condition
     number is therefore at least 1/(k max|S_ij|); the SVD that measures it
-    runs only when that bound falls below RCOND_CUTOFF.
+    runs only for a matrix whose bound falls below RCOND_CUTOFF, in stack
+    order, and the first that fails raises.
     """
+    k = S.shape[-1]
     # A NaN bound fails the comparison too, and then require_finite raises.
-    if not S.shape[0] * np.abs(S).max() * RCOND_CUTOFF <= 1.0:
-        sv = np.linalg.svd(require_finite(S, context), compute_uv=False)
-        rcond = sv[-1] / sv[0]
-        if rcond < RCOND_CUTOFF:
-            raise ConditioningError(f"{context}: reciprocal condition number {rcond:.3e} below cutoff")
+    bounded = k * np.abs(S).max(axis=(-2, -1)) * RCOND_CUTOFF <= 1.0
+    if not bounded.all():
+        for M in S.reshape(-1, k, k)[~bounded.reshape(-1)]:
+            sv = np.linalg.svd(require_finite(M, context), compute_uv=False)
+            rcond = sv[-1] / sv[0]
+            if rcond < RCOND_CUTOFF:
+                raise ConditioningError(f"{context}: reciprocal condition number {rcond:.3e} below cutoff")
     return S
 
 
@@ -247,10 +274,14 @@ def stiefel_frame(A: np.ndarray, S: np.ndarray, R: np.ndarray) -> np.ndarray:
     """The frame [Q1; Q2] = [R; 2A] S^{-1} for S = I + A^T A - B, R = I - A^T A + B.
 
     One guarded solve with S^T covers both blocks; the frame is the
-    (Fortran-ordered) transpose of its solution.
+    (Fortran-ordered) transpose of its solution. A, S and R may each carry
+    one leading stack axis n; the frames are then a stack (n, p, k) from one
+    stacked solve.
     """
-    Q = np.linalg.solve(guard_resolvent(S, "cayley_forward_stiefel").T, np.vstack([R, A]).T).T
-    Q[S.shape[0]:] *= 2.0
+    S = guard_resolvent(S, "cayley_forward_stiefel")
+    Q = np.linalg.solve(S.swapaxes(-1, -2),
+                        np.concatenate([R, A], axis=-2).swapaxes(-1, -2)).swapaxes(-1, -2)
+    Q[..., S.shape[-1]:, :] *= 2.0
     return Q
 
 
@@ -297,34 +328,65 @@ def cayley_inverse_stiefel(Q: StiefelPoint) -> StiefelCoords:
     return StiefelCoords(dims=dims, b=vech_strict(B), a_vec=vec(A))
 
 
+def grassmann_spectra(A: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues lam (n, k) of A^T A for each matrix of a stack A (n, p-k, k).
+
+    With `vectors`, (lam, V) from one stacked eigh; otherwise lam from one
+    stacked eigvalsh. Nothing raises and no domain test applies: a matrix
+    whose A^T A has a non-finite entry gets NaN eigenvalues, and LAPACK
+    never sees it. `grassmann_spectrum` is the checked one-matrix case.
+    """
+    AtA = A.swapaxes(-1, -2) @ A
+    n, k = AtA.shape[:2]
+    # Per matrix, the finiteness test of `require_finite`: the sum of the entries.
+    sums = np.add.reduce(AtA.reshape(n, k * k), axis=-1)
+    finite = None if math.isfinite(np.add.reduce(sums)) else np.isfinite(sums)
+    if finite is not None:
+        AtA = np.where(finite[:, None, None], AtA, 0.0)
+    lam, V = np.linalg.eigh(AtA) if vectors else (np.linalg.eigvalsh(AtA), None)
+    if finite is not None:
+        lam[~finite] = np.nan
+    return (lam, V) if vectors else lam
+
+
+def in_grassmann_domain(lam_max):
+    """The package's one domain predicate, on the largest eigenvalue(s) of A^T A.
+
+    The frame's top block has smallest eigenvalue (1 - lam_max)/(1 + lam_max),
+    which must exceed SPD_EIG_CUTOFF, as `GrassmannPoint` requires. This
+    excludes lam_max >= 1; NaN is outside too.
+    """
+    return (1.0 - lam_max) / (1.0 + lam_max) > SPD_EIG_CUTOFF
+
+
 def grassmann_spectrum(A: np.ndarray, context: str, vectors: bool = False,
                        in_domain: bool = True):
-    """Ascending eigenvalues lam of A^T A, or (lam, V) with `vectors`.
+    """Ascending eigenvalues lam of A^T A for one matrix A, or (lam, V) with `vectors`.
 
-    The one decomposition every Grassmann route shares. Non-finite entries
-    raise ConditioningError before LAPACK sees them. With `in_domain`, the
-    one domain predicate of the package applies: the frame's top block has
-    smallest eigenvalue (1 - lam_max)/(1 + lam_max), and unless that exceeds
-    SPD_EIG_CUTOFF (as `GrassmannPoint` requires) DomainError is raised.
-    This covers lam_max >= 1. Values alone come from eigvalsh.
+    The one-matrix case of `grassmann_spectra`, checked: non-finite entries
+    raise ConditioningError (LAPACK never sees them) and, with `in_domain`,
+    a matrix outside `in_grassmann_domain` raises DomainError.
     """
-    AtA = require_finite(A.T @ A, context)
-    lam, V = np.linalg.eigh(AtA) if vectors else (np.linalg.eigvalsh(AtA), None)
-    if in_domain and not (1.0 - lam[-1]) / (1.0 + lam[-1]) > SPD_EIG_CUTOFF:
+    spectra = grassmann_spectra(A[None], vectors)
+    lam = (spectra[0] if vectors else spectra)[0]
+    if math.isnan(lam[0]):
+        raise ConditioningError(f"{context}: non-finite coordinates")
+    if in_domain and not in_grassmann_domain(lam[-1]):
         raise DomainError(f"{context}: max eigenvalue of A^T A {lam[-1]:.17g} "
                           "is at or past the domain edge")
-    return (lam, V) if vectors else lam
+    return (lam, spectra[1][0]) if vectors else lam
 
 
 def grassmann_frame(A: np.ndarray, lam: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The frame [Q1; Q2] from A and the eigendecomposition A^T A = V diag(lam) V^T.
 
     Q1 = V diag((1 - lam)/(1 + lam)) V^T is formed as X X^T, which is
-    exactly symmetric, and Q2 = 2 A V diag(1/(1 + lam)) V^T.
+    exactly symmetric, and Q2 = 2 A V diag(1/(1 + lam)) V^T. The arguments
+    may be stacks with one leading axis; so is the frame then.
     """
-    X = V * np.sqrt((1.0 - lam) / (1.0 + lam))
-    Q2 = A @ ((V * (2.0 / (1.0 + lam))) @ V.T)
-    return np.vstack([X @ X.T, Q2])
+    X = V * np.sqrt((1.0 - lam) / (1.0 + lam))[..., None, :]
+    Q2 = A @ ((V * (2.0 / (1.0 + lam))[..., None, :]) @ V.swapaxes(-1, -2))
+    return np.concatenate([X @ X.swapaxes(-1, -2), Q2], axis=-2)
 
 
 def grassmann_domain_margin(psi: GrassmannCoords) -> float:

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -313,7 +314,8 @@ def _cmd_sample(args) -> int:
         config=cfg,
         metrics={"acceptance_rate": batch.acceptance_rate,
                  "final_scale": batch.final_scale,
-                 "n_draws": int(batch.coords_draws.shape[0])},
+                 "n_draws": int(batch.coords_draws.shape[0]),
+                 "counters": asdict(batch.counters)},
     )
     write_report(report, out)
     print(f"sample: {batch.coords_draws.shape[0]} draws, "

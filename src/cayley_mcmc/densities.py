@@ -23,8 +23,11 @@ from .cayley import (
     StiefelPoint,
     cayley_forward_grassmann,
     cayley_forward_stiefel,
+    check_frames,
     grassmann_frame,
+    grassmann_spectra,
     grassmann_spectrum,
+    in_grassmann_domain,
     stiefel_frame,
 )
 from .errors import ConditioningError, DomainError
@@ -35,6 +38,7 @@ from .jacobian import (
     grassmann_log_jacobian,
     log_jacobian_block_grassmann,
     log_jacobian_stiefel,
+    require_oriented,
     stiefel_log_jacobian,
     stiefel_log_jacobian_constant,
 )
@@ -172,7 +176,11 @@ def pullback_log_density(g: LogDensity, coords: Coords) -> float:
             return -np.inf
     else:
         raise TypeError(f"unsupported coordinate type {type(coords)!r}")
-    value = log_j if point is None else g(point) + log_j
+    return _not_nan(log_j if point is None else g(point) + log_j)
+
+
+def _not_nan(value: float) -> float:
+    """The pullback value, or ConditioningError if it is NaN."""
     if math.isnan(value):
         raise ConditioningError("pullback_log_density: log target is NaN")
     return value
@@ -184,12 +192,13 @@ class PullbackTarget:
     The constructor builds the plan for one shape: the manifold, the
     coordinate count, the split of a vector into the skew block b and the
     (p-k) x k matrix A, the cached skew index positions, I_k and the
-    log-Jacobian constant. A call then evaluates the pullback straight from
-    the raw vector, through the same array kernels as the typed routes
-    (`pullback_log_density`, `log_jacobian_stiefel`, ...), with no coordinate
-    object and no shape check: callers validate a vector's shape once, at
-    the boundary (`run_chain` checks its initial state). `coords` and
-    `point` map vectors to typed, validated coordinates and frames.
+    log-Jacobian constant. `rows` evaluates the pullback at a stack of raw
+    vectors through stacked k x k kernels, with no coordinate object and no
+    shape check: callers validate a vector's shape once, at the boundary
+    (`run_chain` checks its initial state). A call is its one-row case, and
+    the typed routes (`pullback_log_density`, `log_jacobian_stiefel`, ...)
+    use the same kernels. `coords`, `point` and `frames` map vectors to
+    typed coordinates and validated frames.
     """
 
     def __init__(self, g: LogDensity, dims: ManifoldDims):
@@ -198,7 +207,6 @@ class PullbackTarget:
         self._stiefel = g.manifold == "stiefel"
         self.dim = dims.d_v if self._stiefel else dims.d_g
         self.n_b = dims.n_b if self._stiefel else 0
-        self._a_shape = (dims.p - dims.k, dims.k)
         self._skew_positions = _subdiag_flat(dims.k)
         self._eye = np.eye(dims.k)
         self._log_j_constant = stiefel_log_jacobian_constant(dims)
@@ -208,45 +216,103 @@ class PullbackTarget:
             return StiefelCoords.from_vector(self.dims, vector)
         return GrassmannCoords.from_vector(self.dims, vector)
 
-    def _stiefel_blocks(self, vector: np.ndarray):
-        """A, A^T A and B of a Stiefel coordinate vector."""
-        A = vector[self.n_b:].reshape(self._a_shape, order="F")
-        B = skew_at(vector[:self.n_b], self.dims.k, self._skew_positions)
-        return A, A.T @ A, B
+    def _a_stack(self, X: np.ndarray) -> np.ndarray:
+        """The (p-k) x k matrices A of a stack X (n, d) of vectors; vec A is column-major."""
+        n, p, k = X.shape[0], self.dims.p, self.dims.k
+        return X[:, self.n_b:].reshape(n, k, p - k).swapaxes(1, 2)
+
+    def _stiefel_blocks(self, X: np.ndarray):
+        """A, A^T A and B of each Stiefel coordinate vector of a stack X (n, d)."""
+        A = self._a_stack(X)
+        B = skew_at(X[:, :self.n_b], self.dims.k, self._skew_positions)
+        return A, A.swapaxes(1, 2) @ A, B
+
+    def _frames(self, X: np.ndarray) -> np.ndarray:
+        """The frames (n, p, k) of a stack X (n, d), not yet validated.
+
+        Grassmann vectors with non-finite entries or outside the domain raise
+        as `cayley_forward_grassmann` does, the first in stack order.
+        """
+        if self._stiefel:
+            A, AtA, B = self._stiefel_blocks(X)
+            return stiefel_frame(A, self._eye + AtA - B, self._eye - AtA + B)
+        A = self._a_stack(X)
+        lam, V = grassmann_spectra(A, vectors=True)
+        outside = ~in_grassmann_domain(lam[:, -1])
+        if outside.any():
+            grassmann_spectrum(A[np.flatnonzero(outside)[0]], "cayley_forward_grassmann",
+                               vectors=True)
+        return grassmann_frame(A, lam, V)
+
+    def frames(self, X: np.ndarray) -> np.ndarray:
+        """The validated frames (n, p, k) of a stack X (n, d) of coordinate vectors.
+
+        One stacked forward map and one pass of every `StiefelPoint` or
+        `GrassmannPoint` check (`check_frames`); the first row that fails
+        raises the error its point would.
+        """
+        Q = self._frames(X)
+        check_frames(Q, grassmann=not self._stiefel)
+        # Row-major like any stacked array: BLAS may round a product of a
+        # Fortran-ordered frame (the Stiefel solve's layout) differently.
+        return np.ascontiguousarray(Q)
+
+    def point(self, vector: np.ndarray) -> Point:
+        """The validated frame of a coordinate vector."""
+        point_type = StiefelPoint if self._stiefel else GrassmannPoint
+        return point_type(dims=self.dims, Q=self._frames(vector[None])[0])
 
     def _grassmann_point(self, A: np.ndarray) -> GrassmannPoint:
         lam, V = grassmann_spectrum(A, "cayley_forward_grassmann", vectors=True)
         return GrassmannPoint(dims=self.dims, Q=grassmann_frame(A, lam, V))
 
-    def point(self, vector: np.ndarray) -> Point:
-        """The validated frame of a coordinate vector."""
-        if not self._stiefel:
-            return self._grassmann_point(vector.reshape(self._a_shape, order="F"))
-        A, AtA, B = self._stiefel_blocks(vector)
-        return StiefelPoint(dims=self.dims,
-                            Q=stiefel_frame(A, self._eye + AtA - B, self._eye - AtA + B))
+    def rows(self, X: np.ndarray) -> Callable[[int], float]:
+        """The pullback at each row of a stack X (n, d) of coordinate vectors, as `value(j)`.
+
+        One stacked log-Jacobian call covers every row; `value(j)` then
+        equals `self(X[j])` bit for bit. Row j's errors (a NaN log target, a
+        non-finite Grassmann row, a frame that fails its guard) are raised
+        only when `value(j)` is asked for, and g(Q), when `fn` is set, is
+        evaluated only then. A caller that takes rows in order and stops
+        early neither sees the errors nor pays for g at the rows it skips.
+        Out-of-domain Grassmann rows, and rows whose frame `GrassmannPoint`
+        rejects when g needs it, read -inf.
+        """
+        fn = self.g.fn
+        if self._stiefel:
+            A, AtA, B = self._stiefel_blocks(X)
+            S = self._eye + AtA - B
+            log_j, oriented = stiefel_log_jacobian(S, self.dims.p, self._log_j_constant)
+
+            def value(j: int) -> float:
+                require_oriented(oriented[j])
+                v = float(log_j[j])
+                if fn is not None:
+                    Q = stiefel_frame(A[j], S[j], self._eye - AtA[j] + B[j])
+                    v = self.g(StiefelPoint(dims=self.dims, Q=Q)) + v
+                return _not_nan(v)
+        else:
+            A = self._a_stack(X)
+            log_j = grassmann_log_jacobian(A, self.dims.p)
+
+            def value(j: int) -> float:
+                v = float(log_j[j])
+                if math.isnan(v):
+                    # Raises the row's ConditioningError, as the one-row route does.
+                    grassmann_spectrum(A[j], "log_jacobian_block_grassmann")
+                if v == -math.inf or fn is None:
+                    return _not_nan(v)
+                try:
+                    point = self._grassmann_point(A[j])
+                except DomainError:
+                    return -math.inf
+                return _not_nan(self.g(point) + v)
+
+        return value
 
     def __call__(self, vector: np.ndarray) -> float:
         """The pullback at a raw coordinate vector; as `pullback_log_density`."""
-        if self._stiefel:
-            A, AtA, B = self._stiefel_blocks(vector)
-            S = self._eye + AtA - B
-            value = stiefel_log_jacobian(S, self.dims.p, self._log_j_constant)
-            if self.g.fn is not None:
-                Q = stiefel_frame(A, S, self._eye - AtA + B)
-                value = self.g(StiefelPoint(dims=self.dims, Q=Q)) + value
-        else:
-            A = vector.reshape(self._a_shape, order="F")
-            try:
-                value = grassmann_log_jacobian(A, self.dims.p)
-                point = None if self.g.fn is None else self._grassmann_point(A)
-            except DomainError:
-                return -np.inf
-            if point is not None:
-                value = self.g(point) + value
-        if math.isnan(value):
-            raise ConditioningError("pullback_log_density: log target is NaN")
-        return value
+        return self.rows(vector[None])(0)
 
     @property
     def has_gradient(self) -> bool:

@@ -138,6 +138,7 @@ def run_uniform_experiment(p: int, k: int, draws: int, seed: int,
             "acceptance_rate": batch.acceptance_rate,
             "ess_top_left_entry": acf_ess(entry).ess,
             "n_draws": int(entry.shape[0]),
+            "counters": asdict(batch.counters),
         },
         histograms={
             "top_left_entry": _histogram(entry, 40, -1.0, 1.0),
@@ -206,6 +207,7 @@ def run_bingham_experiment(spec: SpikedDataSpec, run: RunConfig,
         "theta1_mean_chain0": float(angle_series[0][:, 0].mean()),
         "acceptance_rates": [c.acceptance_rate for c in chains],
         "n_draws_per_chain": int(angle_series[0].shape[0]),
+        "counters": [asdict(c.counters) for c in chains],
     }
     histograms = {
         f"theta{j + 1}_chain{i}": _histogram(a[:, j], bins, 0.0, hi)

@@ -21,8 +21,10 @@ from .cayley import (
     ManifoldDims,
     StiefelCoords,
     grassmann_domain_margin,
+    grassmann_spectra,
     grassmann_spectrum,
     guard_resolvent,
+    in_grassmann_domain,
 )
 from .errors import ConditioningError, DomainError
 from .special_matrices import coordinate_pairs, vech_strict
@@ -128,8 +130,8 @@ def log_jacobian_naive(D: DerivativeMatrix) -> float:
 
 
 # Named for the route it replaced: the benchmark tracer times the Grassmann kernel under it.
-def _log_jacobian_lowrank(lam: np.ndarray, p: int, k: int) -> float:
-    """Grassmann log-Jacobian from the eigenvalues lam of A^T A.
+def _log_jacobian_lowrank(lam: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Grassmann log-Jacobian from the eigenvalues lam (..., k) of A^T A, per row.
 
     The map is equivariant under A -> U A W^T with U, W orthogonal, an
     isometry of the coordinates, so J depends on lam alone:
@@ -141,24 +143,38 @@ def _log_jacobian_lowrank(lam: np.ndarray, p: int, k: int) -> float:
     With f_ab = log(1 + lam_a (2 + lam_b)) the pair sum is
     (1/2) sum_{a != b} f_ab. As f_aa = 2 log(1 + lam_a), it equals
     (1/2) sum_{a,b} f_ab - sum_a log(1 + lam_a), which turns p-1 into p.
-    Cost O(k^2) once lam is known.
+    Cost O(k^2) once lam is known. Each row's k x k sum runs over its
+    k^2 entries in one flat reduction, so every row of a stack equals the
+    one-row result bit for bit.
     """
-    return float((p - k) * k * LOG2 - p * np.log1p(lam).sum()
-                 + 0.5 * np.log1p(np.outer(lam, lam + 2.0)).sum())
+    pair = np.log1p(lam[..., :, None] * (lam[..., None, :] + 2.0))
+    return ((p - k) * k * LOG2 - p * np.add.reduce(np.log1p(lam), axis=-1)
+            + 0.5 * np.add.reduce(pair.reshape(lam.shape[:-1] + (k * k,)), axis=-1))
 
 
-def grassmann_log_jacobian(A: np.ndarray, p: int) -> float:
-    """The Grassmann log-Jacobian kernel on the (p-k) x k matrix A; one eigvalsh of A^T A.
+def grassmann_log_jacobian(A: np.ndarray, p: int) -> np.ndarray:
+    """The Grassmann log-Jacobian of each matrix of a stack A (n, p-k, k); one stacked eigvalsh.
 
-    Outside the domain (see `grassmann_spectrum`) it raises DomainError.
+    Nothing raises, so a caller can evaluate rows it may never use: a matrix
+    outside the domain (`in_grassmann_domain`) reads -inf, and one with
+    non-finite entries reads NaN (`grassmann_spectrum` raises its error).
     """
-    lam = grassmann_spectrum(A, "log_jacobian_block_grassmann")
-    return _log_jacobian_lowrank(lam, p, A.shape[1])
+    lam = grassmann_spectra(A)
+    log_j = _log_jacobian_lowrank(lam, p, A.shape[-1])
+    lam_max = lam[:, -1]
+    inside = in_grassmann_domain(lam_max)
+    if not inside.all():
+        log_j[~inside & ~np.isnan(lam_max)] = -np.inf
+    return log_j
 
 
 def log_jacobian_block_grassmann(psi: GrassmannCoords) -> float:
-    """Closed-form log-Jacobian of the Grassmann Cayley map; one eigvalsh of A^T A."""
-    return grassmann_log_jacobian(psi.a_matrix(), psi.dims.p)
+    """Closed-form log-Jacobian of the Grassmann Cayley map; one eigvalsh of A^T A.
+
+    Outside the domain (see `grassmann_spectrum`) it raises DomainError.
+    """
+    lam = grassmann_spectrum(psi.a_matrix(), "log_jacobian_block_grassmann")
+    return float(_log_jacobian_lowrank(lam, psi.dims.p, psi.dims.k))
 
 
 def grad_log_jacobian_eig(A: np.ndarray, lam: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
@@ -190,12 +206,23 @@ def stiefel_log_jacobian_constant(dims: ManifoldDims) -> float:
     return (dims.d_v + dims.k * (dims.k - 1) / 4.0) * LOG2
 
 
-def stiefel_log_jacobian(S: np.ndarray, p: int, constant: float) -> float:
-    """The Stiefel log-Jacobian kernel: constant - (p-1) log det S for S = I - B + A^T A."""
+def stiefel_log_jacobian(S: np.ndarray, p: int, constant: float):
+    """The Stiefel log-Jacobian, constant - (p-1) log det S, of each S = I - B + A^T A of a stack (n, k, k).
+
+    Returns (log_j, oriented) from one stacked slogdet. Nothing raises, so a
+    caller can evaluate rows it may never use: `oriented` is False where the
+    computed determinant is not positive (`require_oriented` raises for a
+    row that is used). slogdet takes non-finite matrices without failing,
+    so every row reads exactly what its one-row call reads.
+    """
     sign, logabsdet = np.linalg.slogdet(S)
-    if sign <= 0:
+    return constant - (p - 1) * logabsdet, sign > 0
+
+
+def require_oriented(oriented: bool) -> None:
+    """ConditioningError unless the row's det S was positive (see `stiefel_log_jacobian`)."""
+    if not oriented:
         raise ConditioningError("log_jacobian_stiefel: resolvent block not orientation-preserving")
-    return float(constant - (p - 1) * logabsdet)
 
 
 def log_jacobian_stiefel(phi: StiefelCoords) -> float:
@@ -211,7 +238,9 @@ def log_jacobian_stiefel(phi: StiefelCoords) -> float:
     """
     A = phi.a_matrix()
     S = np.eye(phi.dims.k) + A.T @ A - phi.b_matrix()
-    return stiefel_log_jacobian(S, phi.dims.p, stiefel_log_jacobian_constant(phi.dims))
+    log_j, oriented = stiefel_log_jacobian(S[None], phi.dims.p, stiefel_log_jacobian_constant(phi.dims))
+    require_oriented(oriented[0])
+    return float(log_j[0])
 
 
 # The Stiefel route is the closed form; the name is kept for callers of the

@@ -159,12 +159,15 @@ def skew_from_vech(b: np.ndarray, n: int) -> np.ndarray:
 
 
 def skew_at(b: np.ndarray, n: int, positions: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """`skew_from_vech` without the checks, for `positions` = `_subdiag_flat(n)`."""
+    """`skew_from_vech` without the checks, for `positions` = `_subdiag_flat(n)`.
+
+    `b` may carry leading stack axes; so does the result then.
+    """
     lower, upper = positions
-    B = np.zeros(n * n)
-    B[lower] = b
-    B[upper] = -b
-    return B.reshape(n, n)
+    B = np.zeros(b.shape[:-1] + (n * n,))
+    B[..., lower] = b
+    B[..., upper] = -b
+    return B.reshape(b.shape[:-1] + (n, n))
 
 
 def _check_pk(p: int, k: int):

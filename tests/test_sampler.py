@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_mcmc.cayley import (
     ManifoldDims,
@@ -17,7 +19,9 @@ from cayley_mcmc.densities import (
     pullback_log_density,
     uniform_log_density,
 )
+from cayley_mcmc.errors import CayleyError, ConditioningError
 from cayley_mcmc.sampler import (
+    LOOKAHEAD,
     ChainState,
     ProposalConfig,
     RunConfig,
@@ -194,6 +198,60 @@ class TypedRouteTarget(PullbackTarget):
         return cayley_forward_grassmann(coords)
 
 
+def oracle_chain(target, init, proposal, run):
+    """The random walk one step at a time: `mh_step` per step, `target.point` per kept draw.
+
+    Returns (coords, frames, acceptance rate, final scale, final state); the
+    state's counters cover burn-in and sampling.
+    """
+    coord_scales = coordinate_scales(target, proposal)
+    rng = np.random.Generator(np.random.PCG64(run.seed))
+    state = ChainState(init, target(init))
+    scale = proposal.scale
+    for t in range(run.burn_in):
+        before = state.accept_count
+        state = mh_step(state, target, proposal, rng, scale=scale, coord_scales=coord_scales)
+        c_t = 1.0 / (t + 10.0) ** 0.6
+        scale *= float(np.exp(c_t * (float(state.accept_count > before) - 0.3)))
+    burn_in_accepts = state.accept_count
+    coords, frames = [], []
+    for t in range(run.iterations - run.burn_in):
+        state = mh_step(state, target, proposal, rng, scale=scale, coord_scales=coord_scales)
+        if (t + 1) % run.thin == 0:
+            coords.append(state.vector)
+            frames.append(target.point(state.vector).Q)
+    rate = (state.accept_count - burn_in_accepts) / (run.iterations - run.burn_in)
+    return np.array(coords), np.array(frames), rate, scale, state
+
+
+def assert_chain_equals_oracle(batch, oracle):
+    coords, frames, rate, scale, state = oracle
+    assert np.array_equal(batch.coords_draws, coords)
+    assert np.array_equal(batch.manifold_draws, frames)
+    assert batch.acceptance_rate == rate
+    assert batch.final_scale == scale
+    counters = batch.counters
+    assert (counters.steps, counters.accepts, counters.domain_exits) == (
+        state.step_count, state.accept_count, state.exit_count)
+    assert state.eval_count == state.step_count <= counters.target_rows
+
+
+def make_density(manifold, density, p, k, seed=11):
+    if density == "uniform":
+        return uniform_log_density(manifold)
+    rng = np.random.default_rng(seed)
+    params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0, np.linspace(3.0, 1.0, k))
+    return bingham_log_density(params, manifold)
+
+
+def outcome(fn):
+    """fn()'s result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except (CayleyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestRawVectorRoute:
     def test_scale_vector_matches_copy_and_slice(self):
         """scale * (eps * s) is bit-identical to scaling each block of a copy in place."""
@@ -212,24 +270,155 @@ class TestRawVectorRoute:
                                                   ("grassmann", "uniform"),
                                                   ("grassmann", "bingham")])
     def test_chain_equals_typed_route_chain(self, manifold, density):
-        rng = np.random.default_rng(11)
+        """The prefetching chain equals the one-step chain whose every value is typed."""
         dims = ManifoldDims(8, 3)
-        g = uniform_log_density(manifold)
-        if density == "bingham":
-            params = BinghamParams.from_data(rng.standard_normal((30, 8)), 1.0,
-                                             np.array([4.0, 2.0, 1.0]))
-            g = bingham_log_density(params, manifold)
+        g = make_density(manifold, density, 8, 3)
         raw = PullbackTarget(g, dims)
         proposal = default_proposal(raw, scale=0.8 if manifold == "stiefel" else 0.3)
         run = RunConfig(iterations=600, burn_in=200, thin=2, seed=21)
         init = np.zeros(raw.dim)
         batch = run_chain(raw, init, proposal, run)
-        reference = run_chain(TypedRouteTarget(g, dims), init, proposal, run)
-        assert np.array_equal(batch.coords_draws, reference.coords_draws)
-        assert np.array_equal(batch.manifold_draws, reference.manifold_draws)
-        assert batch.acceptance_rate == reference.acceptance_rate
-        assert batch.final_scale == reference.final_scale
+        assert_chain_equals_oracle(batch, oracle_chain(TypedRouteTarget(g, dims), init, proposal,
+                                                       run))
         assert 0.0 < batch.acceptance_rate < 1.0
+
+
+class TestPrefetchedChain:
+    """`run_chain`'s prefetching random walk equals the one-step oracle to the byte."""
+
+    @pytest.mark.parametrize("thin", [1, 3, 10])
+    @pytest.mark.parametrize("p,k", [(2, 1), (4, 3), (8, 3), (20, 4)])
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_chain_equals_one_step_oracle(self, manifold, density, p, k, thin):
+        target = PullbackTarget(make_density(manifold, density, p, k), ManifoldDims(p, k))
+        proposal = default_proposal(target)
+        # Burn-in 101 is not a multiple of LOOKAHEAD = 8, and 40 * thin + 5 sampling
+        # steps end the run inside a block.
+        run = RunConfig(iterations=101 + 40 * thin + 5, burn_in=101, thin=thin, seed=p + k + thin)
+        init = np.zeros(target.dim)
+        batch = run_chain(target, init, proposal, run)
+        assert_chain_equals_oracle(batch, oracle_chain(target, init, proposal, run))
+        assert batch.coords_draws.shape == ((40 * thin + 5) // thin, target.dim)
+        assert 0.0 < batch.acceptance_rate < 1.0
+
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_thinning_past_the_run_keeps_no_draws(self, manifold):
+        target = uniform_target(5, 2, manifold)
+        batch = run_chain(target, np.zeros(target.dim), ProposalConfig(scale=0.3),
+                          RunConfig(iterations=10, burn_in=5, thin=20, seed=1))
+        assert batch.coords_draws.shape == (0, target.dim)
+        assert batch.manifold_draws.shape == (0, 5, 2)
+        assert batch.counters.steps == 10
+
+    def test_counters_show_domain_exits_and_prefetch_waste(self):
+        target = uniform_target(20, 4, "grassmann")
+        batch = run_chain(target, np.zeros(target.dim), default_proposal(target),
+                          RunConfig(iterations=2000, burn_in=500, seed=3))
+        counters = batch.counters
+        assert counters.steps == 2000
+        assert 0 < counters.domain_exits < counters.steps - counters.accepts
+        assert counters.steps < counters.target_rows <= LOOKAHEAD * counters.steps
+
+    def test_leapfrog_counters(self):
+        target = uniform_target(5, 2)
+        prop = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=4)
+        batch = run_chain(target, np.zeros(target.dim), prop,
+                          RunConfig(iterations=50, burn_in=10, seed=10))
+        counters = batch.counters
+        assert counters.steps == 50 and 0 < counters.accepts <= 50
+        assert counters.domain_exits == 0 and counters.target_rows == 4 * 50
+
+
+class TestPrefetchErrors:
+    """Errors of prefetched rows surface only where the one-step chain would see them."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("with_fn", [False, True])
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_nan_row_raises_only_when_used(self, manifold, with_fn):
+        g = (LogDensity(fn=lambda point: float(point.Q[0, 0]), manifold=manifold) if with_fn
+             else uniform_log_density(manifold))
+        target = PullbackTarget(g, ManifoldDims(6, 2))
+        X = 0.1 * np.random.default_rng(0).standard_normal((3, target.dim))
+        X[1, 0] = np.nan
+        value = target.rows(X)
+        assert value(0) == target(X[0].copy())
+        assert value(2) == target(X[2].copy())
+        stacked, single = outcome(lambda: value(1)), outcome(lambda: target(X[1].copy()))
+        assert stacked[0] is ConditioningError and stacked == single
+
+    def test_grassmann_nan_row_never_reaches_lapack(self):
+        """LAPACK's eigvalsh fails the whole stack on this NaN row (k = 3) unless it is masked."""
+        target = uniform_target(6, 3, "grassmann")
+        X = 0.1 * np.random.default_rng(1).standard_normal((3, target.dim))
+        X[1, 0] = np.nan
+        value = target.rows(X)
+        assert value(0) == target(X[0].copy()) and value(2) == target(X[2].copy())
+        with pytest.raises(ConditioningError, match="non-finite"):
+            value(1)
+        with pytest.raises(ConditioningError, match="non-finite"):
+            target.frames(X)
+
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_nan_density_raises_at_the_same_step(self, manifold):
+        """g is evaluated only at rows the chain reaches, in the same order as one step at a time."""
+
+        def density():
+            calls = []
+
+            def fn(point):
+                calls.append(1)
+                return np.nan if len(calls) == 150 else float(point.Q[0, 0])
+
+            return LogDensity(fn=fn, manifold=manifold), calls
+
+        dims = ManifoldDims(6, 2)
+        run = RunConfig(iterations=400, burn_in=50, seed=4)
+        results = []
+        for chain in (run_chain, oracle_chain):
+            g, calls = density()
+            target = PullbackTarget(g, dims)
+            raised = outcome(lambda: chain(target, np.zeros(target.dim),
+                                           default_proposal(target), run))
+            results.append((raised, len(calls)))
+        assert results[0] == results[1]
+        assert results[0] == ((ConditioningError, "pullback_log_density: log target is NaN"), 150)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_overflowing_proposals_end_as_one_step_at_a_time(self, manifold):
+        """Proposals whose A^T A overflows: the same error, or the same chain, as the oracle."""
+        target = uniform_target(6, 2, manifold)
+        run = RunConfig(iterations=60, seed=5)
+        init = np.zeros(target.dim)
+        proposal = ProposalConfig(scale=1e160)
+        batch = outcome(lambda: run_chain(target, init, proposal, run))
+        oracle = outcome(lambda: oracle_chain(target, init, proposal, run))
+        if isinstance(oracle, tuple) and isinstance(oracle[0], type):
+            assert batch == oracle
+        else:
+            assert_chain_equals_oracle(batch, oracle)
+        if manifold == "grassmann":
+            assert batch == (ConditioningError, "log_jacobian_block_grassmann: non-finite coordinates")
+
+    @settings(max_examples=60, deadline=None)
+    @given(manifold=st.sampled_from(["stiefel", "grassmann"]),
+           density=st.sampled_from(["uniform", "bingham"]),
+           shape=st.sampled_from([(2, 1), (4, 3), (8, 3), (20, 4)]),
+           n=st.integers(1, 8), size=st.floats(0.01, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_every_stacked_row_equals_its_one_row_call(self, manifold, density, shape, n, size,
+                                                       seed):
+        p, k = shape
+        target = PullbackTarget(make_density(manifold, density, p, k), ManifoldDims(p, k))
+        X = size * np.random.default_rng(seed).standard_normal((n, target.dim)) / np.sqrt(p)
+        value = target.rows(X)
+        for j in range(n):
+            assert outcome(lambda: value(j)) == outcome(lambda: target(X[j].copy()))
+        frames = outcome(lambda: target.frames(X))
+        if isinstance(frames, np.ndarray):
+            for j in range(n):
+                assert np.array_equal(frames[j], target.point(X[j].copy()).Q)
 
 
 class TestInitFromManifold:

@@ -12,10 +12,11 @@ alternating the trees a few times:
     done
 
 ``--src`` names the ``src`` directory whose package is measured (default:
-the one next to this script); only API present in every tree is used. Each
-call appends one run to its column, and the column's ``us`` is the median of
-its runs per layer: a shared host changes speed for minutes at a time, so a
-single run per tree can mistake a slow phase for a regression.
+the one next to this script); a layer whose API a tree lacks is left out of
+that tree's column. Each call appends one run to its column, and the
+column's ``us`` is the median of its runs per layer: a shared host changes
+speed for minutes at a time, so a single run per tree can mistake a slow
+phase for a regression.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 LAYERS = {
     "target": "the pullback value of the uniform and of a Bingham density",
-    "mh_step": "one random-walk step as run_chain calls it (uniform target)",
+    "rows": "PullbackTarget.rows on a stack of M = 1 or M = 8 vectors, every row's value "
+            "taken (uniform target); per call, not per row",
+    "chain_step": "one random-walk step: a whole run_chain (burn-in, kept-draw map) divided "
+                  "by its iterations (uniform target)",
     "forward": "cayley_forward_stiefel / cayley_forward_grassmann",
     "log_j": "log_jacobian_stiefel / log_jacobian_block_grassmann",
     "gradient": "the pullback gradient of the uniform and of the Bingham target",
@@ -46,6 +50,7 @@ MANIFOLDS = ("stiefel", "grassmann")
 BUDGET_S = 0.15  # time spent per measurement, after MIN_CALLS
 MIN_CALLS = 7
 CHAIN_STEPS = 3000
+STACKS = (1, 8)
 
 
 def median_us(fn, *args) -> float:
@@ -62,23 +67,20 @@ def median_us(fn, *args) -> float:
 
 
 def chain_step_us(sampler, target, x) -> float:
-    """Median time of the step function inside one `run_chain` call."""
-    original = sampler.mh_step
-    times = []
+    """Time of one `run_chain` call of CHAIN_STEPS random-walk steps, per step.
 
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
-        result = original(*args, **kwargs)
-        times.append(time.perf_counter() - start)
-        return result
+    A tenth of the steps is burn-in, and every tenth step is kept, so the
+    time includes the scale adaptation and the kept-draw map.
+    """
+    run = sampler.RunConfig(iterations=CHAIN_STEPS, burn_in=CHAIN_STEPS // 10, thin=10, seed=1)
+    proposal = sampler.default_proposal(target)
+    return median_us(sampler.run_chain, target, x, proposal, run) / CHAIN_STEPS
 
-    sampler.mh_step = timed
-    try:
-        run = sampler.RunConfig(iterations=CHAIN_STEPS, burn_in=0, thin=CHAIN_STEPS, seed=1)
-        sampler.run_chain(target, x, sampler.default_proposal(target), run)
-    finally:
-        sampler.mh_step = original
-    return statistics.median(times) * 1e6
+
+def all_rows(target, X) -> None:
+    value = target.rows(X)
+    for j in range(X.shape[0]):
+        value(j)
 
 
 def point_in_domain(np, rng, manifold: str, p: int, k: int):
@@ -120,12 +122,16 @@ def measure() -> dict:
             row = {
                 "target.uniform": median_us(uniform, x),
                 "target.bingham": median_us(bingham, x),
-                "mh_step.uniform": chain_step_us(sampler, uniform, x),
+                "chain_step.uniform": chain_step_us(sampler, uniform, x),
                 "forward": median_us(forward[manifold], coords),
                 "log_j": median_us(log_j[manifold], coords),
                 "gradient.uniform": median_us(uniform.gradient, x),
                 "gradient.bingham": median_us(bingham.gradient, x),
             }
+            if hasattr(uniform, "rows"):
+                for m in STACKS:
+                    X = np.stack([point_in_domain(np, rng, manifold, p, k) for _ in range(m)])
+                    row[f"rows.m{m}.uniform"] = median_us(all_rows, uniform, X)
             for layer, us in row.items():
                 layers[f"{layer}.{manifold}.p{p}k{k}"] = round(us, 2)
     return layers
