@@ -24,7 +24,6 @@ __all__ = [
     "StiefelPoint",
     "GrassmannPoint",
     "embed_skew",
-    "embed_skew_grassmann",
     "cayley_forward_stiefel",
     "stiefel_frame",
     "cayley_inverse_stiefel",
@@ -67,6 +66,14 @@ class ManifoldDims:
         return self.k * (self.k - 1) // 2
 
 
+def _float_array(x, shape: tuple, name: str) -> np.ndarray:
+    """x as a float array (at least 1-D), or ValueError unless it has `shape`."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != shape:
+        raise ValueError(f"{name} has shape {x.shape}, expected {shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class StiefelCoords:
     """Unconstrained coordinates phi = (b, vec(A)) for the Stiefel manifold."""
@@ -76,20 +83,12 @@ class StiefelCoords:
     a_vec: np.ndarray
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        a = np.atleast_1d(np.asarray(self.a_vec, dtype=float))
-        if b.shape != (self.dims.n_b,):
-            raise ValueError(f"b has shape {b.shape}, expected ({self.dims.n_b},)")
-        if a.shape != (self.dims.d_g,):
-            raise ValueError(f"a_vec has shape {a.shape}, expected ({self.dims.d_g},)")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a_vec", a)
+        object.__setattr__(self, "b", _float_array(self.b, (self.dims.n_b,), "b"))
+        object.__setattr__(self, "a_vec", _float_array(self.a_vec, (self.dims.d_g,), "a_vec"))
 
     @classmethod
     def from_vector(cls, dims: ManifoldDims, phi: np.ndarray) -> "StiefelCoords":
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        if phi.shape != (dims.d_v,):
-            raise ValueError(f"phi has shape {phi.shape}, expected ({dims.d_v},)")
+        phi = _float_array(phi, (dims.d_v,), "phi")
         return cls(dims=dims, b=phi[: dims.n_b], a_vec=phi[dims.n_b :])
 
     @property
@@ -117,10 +116,7 @@ class GrassmannCoords:
     a_vec: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a_vec, dtype=float))
-        if a.shape != (self.dims.d_g,):
-            raise ValueError(f"a_vec has shape {a.shape}, expected ({self.dims.d_g},)")
-        object.__setattr__(self, "a_vec", a)
+        object.__setattr__(self, "a_vec", _float_array(self.a_vec, (self.dims.d_g,), "a_vec"))
 
     @classmethod
     def from_vector(cls, dims: ManifoldDims, psi: np.ndarray) -> "GrassmannCoords":
@@ -132,13 +128,6 @@ class GrassmannCoords:
 
     def a_matrix(self) -> np.ndarray:
         return unvec(self.a_vec, self.dims.p - self.dims.k, self.dims.k)
-
-
-def _check_point_shape(dims: ManifoldDims, Q: np.ndarray) -> np.ndarray:
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (dims.p, dims.k):
-        raise ValueError(f"Q has shape {Q.shape}, expected ({dims.p}, {dims.k})")
-    return Q
 
 
 def _max_abs(M: np.ndarray) -> np.ndarray:
@@ -176,15 +165,19 @@ def check_frames(Q: np.ndarray, grassmann: bool = False) -> None:
 
 
 @dataclass(frozen=True)
-class StiefelPoint:
-    """A p x k matrix with orthonormal columns; validated at construction."""
+class _Frame:
+    """A p x k frame, validated at construction by `check_frames`.
+
+    The body shared by `StiefelPoint` and `GrassmannPoint`, which stay
+    siblings: code that dispatches on the point type tests one, then the other.
+    """
 
     dims: ManifoldDims
     Q: np.ndarray
 
     def __post_init__(self):
-        Q = _check_point_shape(self.dims, self.Q)
-        check_frames(Q[None])
+        Q = _float_array(self.Q, (self.dims.p, self.dims.k), "Q")
+        check_frames(Q[None], grassmann=isinstance(self, GrassmannPoint))
         object.__setattr__(self, "Q", Q)
 
     @property
@@ -197,42 +190,22 @@ class StiefelPoint:
 
 
 @dataclass(frozen=True)
-class GrassmannPoint:
+class StiefelPoint(_Frame):
+    """A p x k matrix with orthonormal columns; validated at construction."""
+
+
+@dataclass(frozen=True)
+class GrassmannPoint(_Frame):
     """An orthonormal p x k frame with symmetric positive definite top block."""
 
-    dims: ManifoldDims
-    Q: np.ndarray
 
-    def __post_init__(self):
-        Q = _check_point_shape(self.dims, self.Q)
-        check_frames(Q[None], grassmann=True)
-        object.__setattr__(self, "Q", Q)
-
-    @property
-    def top_block(self) -> np.ndarray:
-        return self.Q[: self.dims.k, :]
-
-    @property
-    def bottom_block(self) -> np.ndarray:
-        return self.Q[self.dims.k :, :]
-
-
-def embed_skew(phi: StiefelCoords) -> np.ndarray:
-    """The p x p skew matrix [[B, -A^T], [A, 0]] for Stiefel coordinates."""
-    dims = phi.dims
+def embed_skew(coords) -> np.ndarray:
+    """The p x p skew matrix [[B, -A^T], [A, 0]]; B = 0 for Grassmann coordinates."""
+    dims = coords.dims
     X = np.zeros((dims.p, dims.p))
-    X[: dims.k, : dims.k] = phi.b_matrix()
-    A = phi.a_matrix()
-    X[dims.k :, : dims.k] = A
-    X[: dims.k, dims.k :] = -A.T
-    return X
-
-
-def embed_skew_grassmann(psi: GrassmannCoords) -> np.ndarray:
-    """The p x p skew matrix [[0, -A^T], [A, 0]] for Grassmann coordinates."""
-    dims = psi.dims
-    X = np.zeros((dims.p, dims.p))
-    A = psi.a_matrix()
+    if isinstance(coords, StiefelCoords):
+        X[: dims.k, : dims.k] = coords.b_matrix()
+    A = coords.a_matrix()
     X[dims.k :, : dims.k] = A
     X[: dims.k, dims.k :] = -A.T
     return X
@@ -302,19 +275,25 @@ def cayley_forward_stiefel(phi: StiefelCoords) -> StiefelPoint:
 def cayley_forward_dense(coords) -> np.ndarray:
     """Direct p x p evaluation (I + X)(I - X)^{-1} I_{p x k}; test oracle."""
     dims = coords.dims
-    if isinstance(coords, StiefelCoords):
-        X = embed_skew(coords)
-    else:
-        X = embed_skew_grassmann(coords)
+    X = embed_skew(coords)
     Ip = np.eye(dims.p)
     return np.linalg.solve((Ip - X).T, (Ip + X).T).T[:, : dims.k]
 
 
+def _inverse_blocks(Q) -> tuple:
+    """F = (I - Q1)(I + Q1)^{-1}, from one solve with (I + Q1)^T, and A = Q2 (I + F) / 2.
+
+    The inverse Cayley map of a frame Q with I + Q1 nonsingular is
+    X = [[B, -A^T], [A, 0]] with B = (F^T - F) / 2 on V(k,p), B = 0 on G(k,p).
+    """
+    Ik = np.eye(Q.dims.k)
+    F = np.linalg.solve((Ik + Q.top_block).T, (Ik - Q.top_block).T).T
+    return F, 0.5 * Q.bottom_block @ (Ik + F)
+
+
 def cayley_inverse_stiefel(Q: StiefelPoint) -> StiefelCoords:
     """Recover (b, vec(A)) from an orthonormal frame with I + Q1 nonsingular."""
-    dims = Q.dims
-    Ik = np.eye(dims.k)
-    M = Ik + Q.top_block
+    M = np.eye(Q.dims.k) + Q.top_block
     sv = np.linalg.svd(M, compute_uv=False)
     rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
     if rcond < RCOND_CUTOFF:
@@ -322,10 +301,9 @@ def cayley_inverse_stiefel(Q: StiefelPoint) -> StiefelCoords:
             "cayley_inverse_stiefel: I_k + Q1 is numerically singular "
             f"(reciprocal condition number {rcond:.3e}); Q lies outside the image set"
         )
-    F = np.linalg.solve(M.T, (Ik - Q.top_block).T).T
+    F, A = _inverse_blocks(Q)
     B = 0.5 * (F.T - F)
-    A = 0.5 * Q.bottom_block @ (Ik + F)
-    return StiefelCoords(dims=dims, b=vech_strict(B), a_vec=vec(A))
+    return StiefelCoords(dims=Q.dims, b=vech_strict(B), a_vec=vec(A))
 
 
 def grassmann_spectra(A: np.ndarray, vectors: bool = False):
@@ -410,11 +388,7 @@ def cayley_forward_grassmann(psi: GrassmannCoords) -> GrassmannPoint:
 
 def cayley_inverse_grassmann(Q: GrassmannPoint) -> GrassmannCoords:
     """Recover vec(A) from a frame with SPD top block."""
-    dims = Q.dims
-    Ik = np.eye(dims.k)
-    F = np.linalg.solve((Ik + Q.top_block).T, (Ik - Q.top_block).T).T
-    A = 0.5 * Q.bottom_block @ (Ik + F)
-    return GrassmannCoords(dims=dims, a_vec=vec(A))
+    return GrassmannCoords(dims=Q.dims, a_vec=vec(_inverse_blocks(Q)[1]))
 
 
 def canonicalize_grassmann(Q: StiefelPoint) -> GrassmannPoint:

@@ -21,7 +21,6 @@ from .cayley import (
     ManifoldDims,
     StiefelCoords,
     StiefelPoint,
-    cayley_forward_grassmann,
     cayley_forward_stiefel,
     check_frames,
     grassmann_frame,
@@ -36,8 +35,6 @@ from .jacobian import (
     grad_log_jacobian_eig,
     grad_log_jacobian_stiefel,
     grassmann_log_jacobian,
-    log_jacobian_block_grassmann,
-    log_jacobian_stiefel,
     require_oriented,
     stiefel_log_jacobian,
     stiefel_log_jacobian_constant,
@@ -157,26 +154,19 @@ def pullback_log_density(g: LogDensity, coords: Coords) -> float:
     density needs the frame. Numerical failures, a NaN value among them,
     raise ConditioningError instead of masking bugs as rejections.
 
-    This is the typed route; `PullbackTarget` evaluates the same kernels
-    from raw vectors and must agree with it exactly.
+    The typed boundary of `PullbackTarget`, which evaluates it.
     """
-    # A constant manifold density (fn unset) pulls back to the Jacobian alone.
     if isinstance(coords, StiefelCoords):
         if g.manifold != "stiefel":
             raise ValueError("Stiefel coordinates require a Stiefel target")
-        log_j = log_jacobian_stiefel(coords)
-        point = None if g.fn is None else cayley_forward_stiefel(coords)
+        vector = coords.phi
     elif isinstance(coords, GrassmannCoords):
         if g.manifold != "grassmann":
             raise ValueError("Grassmann coordinates require a Grassmann target")
-        try:
-            log_j = log_jacobian_block_grassmann(coords)
-            point = None if g.fn is None else cayley_forward_grassmann(coords)
-        except DomainError:
-            return -np.inf
+        vector = coords.psi
     else:
         raise TypeError(f"unsupported coordinate type {type(coords)!r}")
-    return _not_nan(log_j if point is None else g(point) + log_j)
+    return PullbackTarget(g, coords.dims)(vector)
 
 
 def _not_nan(value: float) -> float:
@@ -197,8 +187,8 @@ class PullbackTarget:
     shape check: callers validate a vector's shape once, at the boundary
     (`run_chain` checks its initial state). A call is its one-row case, and
     the typed routes (`pullback_log_density`, `log_jacobian_stiefel`, ...)
-    use the same kernels. `coords`, `point` and `frames` map vectors to
-    typed coordinates and validated frames.
+    are boundaries over the same kernels. `coords`, `point` and `frames`
+    map vectors to typed coordinates and validated frames.
     """
 
     def __init__(self, g: LogDensity, dims: ManifoldDims):
@@ -262,10 +252,6 @@ class PullbackTarget:
         point_type = StiefelPoint if self._stiefel else GrassmannPoint
         return point_type(dims=self.dims, Q=self._frames(vector[None])[0])
 
-    def _grassmann_point(self, A: np.ndarray) -> GrassmannPoint:
-        lam, V = grassmann_spectrum(A, "cayley_forward_grassmann", vectors=True)
-        return GrassmannPoint(dims=self.dims, Q=grassmann_frame(A, lam, V))
-
     def rows(self, X: np.ndarray) -> Callable[[int], float]:
         """The pullback at each row of a stack X (n, d) of coordinate vectors, as `value(j)`.
 
@@ -303,7 +289,7 @@ class PullbackTarget:
                 if v == -math.inf or fn is None:
                     return _not_nan(v)
                 try:
-                    point = self._grassmann_point(A[j])
+                    point = self.point(X[j])
                 except DomainError:
                     return -math.inf
                 return _not_nan(self.g(point) + v)
@@ -325,38 +311,32 @@ class PullbackTarget:
         The Jacobian part has a closed-form gradient on both manifolds. The
         manifold part goes through the chain rule: on V(k,p) with the dense
         derivative matrix of the forward map, on G(k,p) as a k x k
-        vector-Jacobian product through the spectral forward map.
+        vector-Jacobian product through the spectral forward map, from one
+        eigendecomposition of A^T A. There, with N = (I + A^T A)^{-1}, the
+        map is Q1 = 2N - I, Q2 = 2AN; for the upstream gradient G = [G1; G2]
+        of g at Q and W = 2N(G1 + A^T G2)N, the chain-rule term in A is
+        2 G2 N - A(W + W^T).
         """
         if not self.has_gradient:
             raise ValueError(f"target {self.g.name!r} has an fn but no grad_fn")
-        coords = self.coords(vector)
         if not self._stiefel:
-            return _grassmann_gradient(self.g, coords)
+            A = self._a_stack(vector[None])[0]
+            lam, V = grassmann_spectrum(A, "PullbackTarget.gradient", vectors=True)
+            grad = grad_log_jacobian_eig(A, lam, V, self.dims.p)
+            if self.g.fn is not None:
+                k = self.dims.k
+                N = (V / (1.0 + lam)) @ V.T
+                G = self.g.grad_fn(GrassmannPoint(dims=self.dims, Q=grassmann_frame(A, lam, V)))
+                W = 2.0 * N @ (G[:k] + A.T @ G[k:]) @ N
+                grad = grad + 2.0 * G[k:] @ N - A @ (W + W.T)
+            return grad.reshape(-1, order="F")
+        coords = self.coords(vector)
         grad = grad_log_jacobian_stiefel(coords)
         if self.g.fn is not None:
             point = cayley_forward_stiefel(coords)
             D = derivative_stiefel(coords).matrix
             grad = grad + D.T @ self.g.grad_fn(point).reshape(-1, order="F")
         return grad
-
-
-def _grassmann_gradient(g: LogDensity, psi: GrassmannCoords) -> np.ndarray:
-    """Pullback gradient on G(k,p) from one eigendecomposition of A^T A.
-
-    With N = (I + A^T A)^{-1}, the map is Q1 = 2N - I, Q2 = 2AN. For the
-    upstream gradient G = [G1; G2] of g at Q and W = 2N(G1 + A^T G2)N, the
-    chain-rule term in A is 2 G2 N - A(W + W^T).
-    """
-    A = psi.a_matrix()
-    lam, V = grassmann_spectrum(A, "PullbackTarget.gradient", vectors=True)
-    grad = grad_log_jacobian_eig(A, lam, V, psi.dims.p)
-    if g.fn is not None:
-        k = psi.dims.k
-        N = (V / (1.0 + lam)) @ V.T
-        G = g.grad_fn(GrassmannPoint(dims=psi.dims, Q=grassmann_frame(A, lam, V)))
-        W = 2.0 * N @ (G[:k] + A.T @ G[k:]) @ N
-        grad = grad + 2.0 * G[k:] @ N - A @ (W + W.T)
-    return grad.reshape(-1, order="F")
 
 
 class EntryMarginal:
@@ -391,9 +371,10 @@ class EntryMarginal:
         return float(self.exponent * np.log1p(-x * x) - np.log(self._norm))
 
     def cdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        """The CDF at x: a float for a scalar, an array of x's shape otherwise."""
+        x = np.asarray(x, dtype=float)
         out = 0.5 + 0.5 * np.sign(x) * special.betainc(0.5, self._b, np.minimum(x * x, 1.0))
-        return out if out.size > 1 else float(out[0])
+        return float(out) if out.ndim == 0 else out
 
 
 def entry_marginal_log_pdf(x: float, p: int) -> float:

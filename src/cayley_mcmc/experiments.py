@@ -295,12 +295,11 @@ def read_draws_csv(path):
         header = dict(item.split("=") for item in header_line[2:].split())
         header = {key: (val if key == "manifold" else int(val)) for key, val in header.items()}
         rows = [np.array([float(x) for x in line.split(",")]) for line in fh if line.strip()]
-    data = np.vstack(rows) if rows else np.empty((0, 0))
-    d = header["n_coords"]
-    p, k = header["p"], header["k"]
-    coords = data[:, :d]
-    points = np.array([row[d:].reshape((p, k), order="F") for row in data])
-    return header, coords, points
+    d, p, k = header["n_coords"], header["p"], header["k"]
+    # A file with no draws still reads as (0, d) coords and (0, p, k) frames.
+    data = np.vstack(rows) if rows else np.empty((0, d + p * k))
+    points = np.array([row[d:].reshape((p, k), order="F") for row in data]).reshape(-1, p, k)
+    return header, data[:, :d], points
 
 
 def write_report(report: ExperimentReport, out_dir) -> Path:

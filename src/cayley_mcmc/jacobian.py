@@ -40,7 +40,6 @@ __all__ = [
     "grad_log_jacobian_stiefel",
     "log_jacobian_block_grassmann",
     "grassmann_log_jacobian",
-    "grad_log_jacobian_grassmann",
 ]
 
 LOG2 = float(np.log(2.0))
@@ -192,13 +191,6 @@ def grad_log_jacobian_eig(A: np.ndarray, lam: np.ndarray, V: np.ndarray, p: int)
     dF = (-p / (1.0 + lam) + 0.5 * ((lam + 2.0) / M).sum(axis=1)
           + 0.5 * (lam[:, None] / M).sum(axis=0))
     return A @ ((V * (2.0 * dF)) @ V.T)
-
-
-def grad_log_jacobian_grassmann(psi: GrassmannCoords) -> np.ndarray:
-    """Gradient of the closed-form Grassmann log-Jacobian in coordinate order vec A."""
-    A = psi.a_matrix()
-    lam, V = grassmann_spectrum(A, "grad_log_jacobian_grassmann", vectors=True)
-    return grad_log_jacobian_eig(A, lam, V, psi.dims.p).reshape(-1, order="F")
 
 
 def stiefel_log_jacobian_constant(dims: ManifoldDims) -> float:

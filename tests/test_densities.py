@@ -6,10 +6,14 @@ from scipy import integrate, stats
 
 from cayley_mcmc.cayley import (
     GrassmannCoords,
+    GrassmannPoint,
     ManifoldDims,
     StiefelCoords,
+    StiefelPoint,
+    cayley_forward_dense,
     cayley_forward_grassmann,
     cayley_forward_stiefel,
+    grassmann_domain_margin,
 )
 from cayley_mcmc.densities import (
     BinghamParams,
@@ -23,7 +27,13 @@ from cayley_mcmc.densities import (
 )
 from cayley_mcmc.diagnostics import haar_stiefel, ks_statistic
 from cayley_mcmc.errors import ConditioningError, DomainError
-from cayley_mcmc.jacobian import log_jacobian_block_grassmann, log_jacobian_stiefel
+from cayley_mcmc.jacobian import (
+    derivative_grassmann,
+    derivative_stiefel,
+    log_jacobian_block_grassmann,
+    log_jacobian_naive,
+    log_jacobian_stiefel,
+)
 from cayley_mcmc.sampler import ProposalConfig, RunConfig, run_chain
 
 
@@ -197,11 +207,17 @@ class TestPullbackTarget:
     @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
     @pytest.mark.parametrize("p,k", [(2, 1), (5, 2), (12, 3)])
     def test_raw_vector_value_equals_typed_route(self, manifold, p, k):
-        """The plan's raw-vector value is the typed pullback, bit for bit, exits and all."""
+        """The plan's raw-vector value against g at the dense p x p map plus the naive log J.
+
+        Domain exits (-inf) fall where the oracle's margin says the point is
+        outside; a NaN coordinate raises on the raw and the typed route.
+        """
         rng = np.random.default_rng(p * 10 + k)
         dims = ManifoldDims(p, k)
         params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
                                          np.linspace(3.0, 1.0, k))
+        point_type, derivative = ((StiefelPoint, derivative_stiefel) if manifold == "stiefel"
+                                  else (GrassmannPoint, derivative_grassmann))
         exits = 0
         for g in (uniform_log_density(manifold), bingham_log_density(params, manifold)):
             target = PullbackTarget(g, dims)
@@ -209,8 +225,14 @@ class TestPullbackTarget:
                 for _ in range(5):
                     x = size * rng.standard_normal(target.dim) / np.sqrt(p)
                     value = target(x)
-                    assert value == pullback_log_density(g, target.coords(x))
-                    exits += value == -np.inf
+                    coords = target.coords(x)
+                    if value == -np.inf:
+                        assert grassmann_domain_margin(coords) <= 0
+                        exits += 1
+                        continue
+                    oracle = (g(point_type(dims, cayley_forward_dense(coords)))
+                              + log_jacobian_naive(derivative(coords)))
+                    assert abs(value - oracle) <= 1e-11 * max(1.0, abs(oracle))
             nan = np.zeros(target.dim)
             nan[-1] = np.nan
             with pytest.raises(ConditioningError):
@@ -302,6 +324,15 @@ class TestEntryMarginal:
         assert m.cdf(-1.0) == 0.0
         assert m.cdf(1.0) == 1.0
         assert abs(m.cdf(0.0) - 0.5) < 1e-12
+
+    def test_cdf_type_follows_input_not_size(self):
+        """A float for a scalar; an array of the input's shape for an array, even of one entry."""
+        m = EntryMarginal(7)
+        assert type(m.cdf(0.3)) is float and type(m.cdf(np.float64(0.3))) is float
+        for x in ([0.3], np.array([0.3]), np.array([[0.3, -0.2]])):
+            out = m.cdf(x)
+            assert isinstance(out, np.ndarray) and out.shape == np.shape(x)
+            assert out.ravel().tolist() == [m.cdf(v) for v in np.ravel(x).tolist()]
 
     def test_log_pdf_consistent_with_pdf(self):
         m = EntryMarginal(8)

@@ -115,12 +115,11 @@ class TestNormalApproxExperiment:
 
 
 class TestFileFormats:
-    def _batch(self):
+    def _batch(self, run=RunConfig(iterations=60, burn_in=20, seed=14)):
         from cayley_mcmc.cayley import ManifoldDims
         from cayley_mcmc.densities import PullbackTarget, uniform_log_density
         from cayley_mcmc.sampler import ProposalConfig, run_chain
         target = PullbackTarget(uniform_log_density(), ManifoldDims(5, 2))
-        run = RunConfig(iterations=60, burn_in=20, seed=14)
         return run_chain(target, np.zeros(target.dim), ProposalConfig(scale=0.4), run)
 
     def test_draws_round_trip_exactly(self, tmp_path):
@@ -129,6 +128,17 @@ class TestFileFormats:
         write_draws_csv(path, batch, manifold="stiefel")
         header, coords, points = read_draws_csv(path)
         assert header == {"manifold": "stiefel", "p": 5, "k": 2, "n_coords": 7}
+        assert np.array_equal(coords, batch.coords_draws)
+        assert np.array_equal(points, batch.manifold_draws)
+
+    def test_draws_round_trip_with_no_draws(self, tmp_path):
+        """A thinning interval past the run keeps no draws; the file still reads with its shapes."""
+        batch = self._batch(RunConfig(iterations=10, burn_in=2, thin=20, seed=14))
+        path = tmp_path / "draws.csv"
+        write_draws_csv(path, batch, manifold="stiefel")
+        header, coords, points = read_draws_csv(path)
+        assert header == {"manifold": "stiefel", "p": 5, "k": 2, "n_coords": 7}
+        assert coords.shape == (0, 7) and points.shape == (0, 5, 2)
         assert np.array_equal(coords, batch.coords_draws)
         assert np.array_equal(points, batch.manifold_draws)
 

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 from scipy.stats import ortho_group
 
 from cayley_mcmc.cayley import GrassmannCoords, ManifoldDims, StiefelCoords, cayley_forward_dense
-from cayley_mcmc.densities import LogDensity, PullbackTarget
+from cayley_mcmc.densities import LogDensity, PullbackTarget, uniform_log_density
 from cayley_mcmc.errors import ConditioningError, DomainError
 from cayley_mcmc.jacobian import (
     LOG2,
     derivative_grassmann,
     derivative_stiefel,
-    grad_log_jacobian_grassmann,
     grad_log_jacobian_stiefel,
     log_jacobian_block_grassmann,
     log_jacobian_block_stiefel,
@@ -208,7 +208,8 @@ class TestGrassmannGradient:
         C = np.random.default_rng(seed + 1).standard_normal((psi.dims.p, psi.dims.k))
         g = LogDensity(fn=lambda point: float(np.sum(C * point.Q)), manifold="grassmann",
                        grad_fn=lambda point: C)
-        chain = PullbackTarget(g, psi.dims).gradient(psi.psi) - grad_log_jacobian_grassmann(psi)
+        log_j = PullbackTarget(uniform_log_density("grassmann"), psi.dims)
+        chain = PullbackTarget(g, psi.dims).gradient(psi.psi) - log_j.gradient(psi.psi)
         oracle = derivative_grassmann(psi).matrix.T @ C.reshape(-1, order="F")
         assert np.max(np.abs(chain - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
 
@@ -225,5 +226,29 @@ class TestGrassmannGradient:
             e[j] = h
             fd[j] = (log_jacobian_block_grassmann(GrassmannCoords(psi.dims, x + e))
                      - log_jacobian_block_grassmann(GrassmannCoords(psi.dims, x - e))) / (2 * h)
-        grad = grad_log_jacobian_grassmann(psi)
+        grad = PullbackTarget(uniform_log_density("grassmann"), psi.dims).gradient(psi.psi)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
+
+
+class TestVolume:
+    """The pullback of the uniform density integrates to the manifold's volume.
+
+    At k = 1 the frame is a unit vector and log J depends on |phi| alone, so
+    the integral over the coordinates is radial: the area of S^{p-2} times
+    the integral of J(r e_1) r^{p-2} over r. On V(1,p) it runs over all r
+    and gives vol S^{p-1} = 2 pi^{p/2} / Gamma(p/2); on G(1,p) it runs over
+    the domain r < 1, and r -> 1/r maps the integrand onto itself, so it
+    gives half of that.
+    """
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 8])
+    @pytest.mark.parametrize("manifold,upper,share", [("stiefel", np.inf, 1.0),
+                                                      ("grassmann", 1.0, 0.5)])
+    def test_k1_volume_is_sphere_area(self, p, manifold, upper, share):
+        target = PullbackTarget(uniform_log_density(manifold), ManifoldDims(p, 1))
+        e1 = np.eye(p - 1)[0]
+        radial = integrate.quad(lambda r: np.exp(target(r * e1)) * r ** (p - 2), 0.0, upper,
+                                epsabs=0.0, epsrel=1e-13)[0]
+        volume = 2.0 * np.pi ** ((p - 1) / 2) / special.gamma((p - 1) / 2) * radial
+        sphere = 2.0 * np.pi ** (p / 2) / special.gamma(p / 2)
+        assert volume == pytest.approx(share * sphere, rel=1e-12)
