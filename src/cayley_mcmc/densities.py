@@ -21,21 +21,21 @@ from .cayley import (
     ManifoldDims,
     StiefelCoords,
     StiefelPoint,
-    cayley_forward_stiefel,
     check_frames,
     grassmann_frame,
     grassmann_spectra,
     grassmann_spectrum,
+    guard_resolvent,
     in_grassmann_domain,
     stiefel_frame,
 )
 from .errors import ConditioningError, DomainError
 from .jacobian import (
-    derivative_stiefel,
-    grad_log_jacobian_eig,
-    grad_log_jacobian_stiefel,
+    _log_jacobian_lowrank,
+    grassmann_gradient,
     grassmann_log_jacobian,
     require_oriented,
+    stiefel_gradient,
     stiefel_log_jacobian,
     stiefel_log_jacobian_constant,
 )
@@ -305,37 +305,59 @@ class PullbackTarget:
         """A gradient exists unless the density has an `fn` but no `grad_fn`."""
         return self.g.fn is None or self.g.grad_fn is not None
 
-    def gradient(self, vector: np.ndarray) -> np.ndarray:
-        """Gradient of the pullback log density at a coordinate vector.
+    def value_and_gradient(self, vector: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+        """The pullback at a raw coordinate vector and its gradient, from one k x k factorization.
 
-        The Jacobian part has a closed-form gradient on both manifolds. The
-        manifold part goes through the chain rule: on V(k,p) with the dense
-        derivative matrix of the forward map, on G(k,p) as a k x k
-        vector-Jacobian product through the spectral forward map, from one
-        eigendecomposition of A^T A. There, with N = (I + A^T A)^{-1}, the
-        map is Q1 = 2N - I, Q2 = 2AN; for the upstream gradient G = [G1; G2]
-        of g at Q and W = 2N(G1 + A^T G2)N, the chain-rule term in A is
-        2 G2 N - A(W + W^T).
+        On V(k,p) one guarded solve gives P = S^{-1} for S = I + A^T A - B,
+        and with it the frame (Q1 = 2P - I, Q2 = 2AP) at which g and its
+        `grad_fn` are evaluated, and the adjoint gradient
+        (`jacobian.stiefel_gradient`); log J is the same slogdet as the
+        value's. On G(k,p) one eigendecomposition of A^T A gives log J, the
+        frame and the gradient (`jacobian.grassmann_gradient`). The value
+        equals `self(vector)` to rounding: the frame comes from another
+        factorization. Outside the Grassmann domain, or where
+        `GrassmannPoint` rejects the frame g needs, it returns (-inf, None);
+        errors otherwise raise as the value's do.
         """
         if not self.has_gradient:
             raise ValueError(f"target {self.g.name!r} has an fn but no grad_fn")
-        if not self._stiefel:
-            A = self._a_stack(vector[None])[0]
-            lam, V = grassmann_spectrum(A, "PullbackTarget.gradient", vectors=True)
-            grad = grad_log_jacobian_eig(A, lam, V, self.dims.p)
-            if self.g.fn is not None:
-                k = self.dims.k
-                N = (V / (1.0 + lam)) @ V.T
-                G = self.g.grad_fn(GrassmannPoint(dims=self.dims, Q=grassmann_frame(A, lam, V)))
-                W = 2.0 * N @ (G[:k] + A.T @ G[k:]) @ N
-                grad = grad + 2.0 * G[k:] @ N - A @ (W + W.T)
-            return grad.reshape(-1, order="F")
-        coords = self.coords(vector)
-        grad = grad_log_jacobian_stiefel(coords)
-        if self.g.fn is not None:
-            point = cayley_forward_stiefel(coords)
-            D = derivative_stiefel(coords).matrix
-            grad = grad + D.T @ self.g.grad_fn(point).reshape(-1, order="F")
+        g, dims = self.g, self.dims
+        if self._stiefel:
+            A, AtA, B = self._stiefel_blocks(vector[None])
+            S = self._eye + AtA - B
+            log_j, oriented = stiefel_log_jacobian(S, dims.p, self._log_j_constant)
+            require_oriented(oriented[0])
+            A = A[0]
+            P = np.linalg.solve(guard_resolvent(S[0], "PullbackTarget.value_and_gradient"),
+                                self._eye)
+            value = float(log_j[0])
+            if g.fn is None:
+                return _not_nan(value), stiefel_gradient(A, P, dims.p)
+            point = StiefelPoint(dims=dims, Q=np.concatenate([2.0 * P - self._eye, 2.0 * A @ P]))
+            return (_not_nan(g(point) + value),
+                    stiefel_gradient(A, P, dims.p, g.grad_fn(point)))
+        A = self._a_stack(vector[None])[0]
+        lam, V = grassmann_spectrum(A, "PullbackTarget.value_and_gradient", vectors=True,
+                                    in_domain=False)
+        if not in_grassmann_domain(lam[-1]):
+            return -math.inf, None
+        value = float(_log_jacobian_lowrank(lam, dims.p, dims.k))
+        if g.fn is None:
+            return _not_nan(value), grassmann_gradient(A, lam, V, dims.p)
+        try:
+            point = GrassmannPoint(dims=dims, Q=grassmann_frame(A, lam, V))
+        except DomainError:
+            return -math.inf, None
+        return _not_nan(g(point) + value), grassmann_gradient(A, lam, V, dims.p, g.grad_fn(point))
+
+    def gradient(self, vector: np.ndarray) -> np.ndarray:
+        """Gradient of the pullback log density at a coordinate vector (`value_and_gradient`).
+
+        Where the value is -inf (outside the Grassmann domain) it raises DomainError.
+        """
+        value, grad = self.value_and_gradient(vector)
+        if grad is None:
+            raise DomainError("PullbackTarget.gradient: coordinates outside the domain")
         return grad
 
 

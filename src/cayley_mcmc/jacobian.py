@@ -1,10 +1,13 @@
-"""Derivative matrices of the Cayley maps and log-Jacobian evaluation.
+"""Log-Jacobians of the Cayley maps, the pullback gradients, and the derivative matrices.
 
 One route per manifold runs in production, each a closed form in a k x k
-matrix with an analytic gradient: on V(k,p) the log-determinant of
-S = I - B + A^T A; on G(k,p) a sum over the eigenvalues of A^T A. The naive
-(1/2) log det(D^T D) from the full pk x d derivative matrix D is the
-authoritative definition and the oracle for both.
+matrix: on V(k,p) the log-determinant of S = I - B + A^T A; on G(k,p) a sum
+over the eigenvalues of A^T A. The pullback gradient (`stiefel_gradient`,
+`grassmann_gradient`) is the closed-form log-J gradient plus an adjoint
+chain-rule term D^T vec(G) formed in O(pk^2) from the same k x k factor,
+never from D. The full pk x d derivative matrix D (`derivative_*`) and the
+naive (1/2) log det(D^T D) are the authoritative definitions and stay only
+as oracles: of criterion 2, of the `jacobian` command, and of the tests.
 
 Everything is in log scale; the raw Jacobian contains a factor 2^{d} that
 overflows doubles for moderate p*k.
@@ -13,6 +16,7 @@ overflows doubles for moderate p*k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -38,6 +42,8 @@ __all__ = [
     "stiefel_log_jacobian",
     "log_jacobian_block_stiefel",
     "grad_log_jacobian_stiefel",
+    "stiefel_gradient",
+    "grassmann_gradient",
     "log_jacobian_block_grassmann",
     "grassmann_log_jacobian",
 ]
@@ -176,21 +182,33 @@ def log_jacobian_block_grassmann(psi: GrassmannCoords) -> float:
     return float(_log_jacobian_lowrank(lam, psi.dims.p, psi.dims.k))
 
 
-def grad_log_jacobian_eig(A: np.ndarray, lam: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
-    """Gradient in A of the Grassmann log-Jacobian, given A^T A = V diag(lam) V^T.
+def grassmann_gradient(A: np.ndarray, lam: np.ndarray, V: np.ndarray, p: int,
+                       G: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gradient in vec A of log J + g(C(A)) on G(k,p), given A^T A = V diag(lam) V^T.
 
     log J = F(lam) with F(lam) = -p sum log1p(lam) + (1/2) sum_{a,b}
     log1p(lam_a (2 + lam_b)) up to a constant. As d lam_c / dA =
-    2 A v_c v_c^T and F is symmetric in lam, the gradient is
+    2 A v_c v_c^T and F is symmetric in lam, its gradient is
     2 A V diag(F'(lam)) V^T, with
 
         F'(lam_c) = -p / (1 + lam_c) + (1/2) sum_b (2 + lam_b) / M_cb
                     + (1/2) sum_a lam_a / M_ac,   M_ab = 1 + lam_a (2 + lam_b).
+
+    `G` = [G1; G2], the gradient of g at the frame, adds the chain-rule term
+    D^T vec(G) as a k x k vector-Jacobian product through the spectral map
+    Q1 = 2N - I, Q2 = 2AN with N = (I + A^T A)^{-1}: for
+    W = 2N(G1 + A^T G2)N it is 2 G2 N - A(W + W^T).
     """
     M = 1.0 + np.outer(lam, lam + 2.0)
     dF = (-p / (1.0 + lam) + 0.5 * ((lam + 2.0) / M).sum(axis=1)
           + 0.5 * (lam[:, None] / M).sum(axis=0))
-    return A @ ((V * (2.0 * dF)) @ V.T)
+    grad = A @ ((V * (2.0 * dF)) @ V.T)
+    if G is not None:
+        k = A.shape[1]
+        N = (V / (1.0 + lam)) @ V.T
+        W = 2.0 * N @ (G[:k] + A.T @ G[k:]) @ N
+        grad = grad + 2.0 * G[k:] @ N - A @ (W + W.T)
+    return grad.reshape(-1, order="F")
 
 
 def stiefel_log_jacobian_constant(dims: ManifoldDims) -> float:
@@ -240,20 +258,37 @@ def log_jacobian_stiefel(phi: StiefelCoords) -> float:
 log_jacobian_block_stiefel = log_jacobian_stiefel
 
 
+def stiefel_gradient(A: np.ndarray, P: np.ndarray, p: int,
+                     G: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gradient in coordinate order (b, vec A) of log J + g(C(b, A)) on V(k,p), given P = S^{-1}.
+
+    With S = I - B + A^T A: d/dB_{ij} log det S = P_{ij} - P_{ji} (skew
+    pairing) and d/dA log det S = A (P + P^T), each times -(p-1).
+
+    `G` = [G1; G2], the gradient of g at the frame, adds the chain-rule term
+    D^T vec(G) as an adjoint, with no derivative matrix: the frame is
+    Q1 = 2P - I, Q2 = 2AP and dP = -P dS P, so for W = P^T (G1 + A^T G2) P^T
+    the term is vech_strict(2(W - W^T)) in b and 2 G2 P^T - 2A(W + W^T) in A.
+    Cost O(pk^2).
+    """
+    c = p - 1
+    k = P.shape[0]
+    # U = 2W, and grad_at is the A block transposed, whose rows are vec A's column-major order.
+    U = 0.0 if G is None else 2.0 * (P.T @ (G[:k] + A.T @ G[k:]) @ P.T)
+    M_b = U - c * P
+    M_a = U + c * P
+    grad_at = -(M_a + M_a.T) @ A.T
+    if G is not None:
+        grad_at += 2.0 * (P @ G[k:].T)
+    return np.concatenate([vech_strict(M_b - M_b.T), grad_at.reshape(-1)])
+
+
 def grad_log_jacobian_stiefel(phi: StiefelCoords) -> np.ndarray:
     """Gradient of the closed-form log-Jacobian in coordinate order (b, vec A).
 
-    With S = I - B + A^T A and P = S^{-1}:
-    d/dB_{ij} log det S = P_{ij} - P_{ji} (skew pairing), and
-    d/dA log det S = A (P + P^T).
+    The typed boundary of `stiefel_gradient`, with P = S^{-1} from one solve.
     """
-    dims = phi.dims
     A = phi.a_matrix()
-    B = phi.b_matrix()
-    k = dims.k
-    S = np.eye(k) - B + A.T @ A
-    P = np.linalg.solve(S, np.eye(k))
-    coeff = -(dims.p - 1)
-    grad_b = coeff * vech_strict(P - P.T)
-    grad_a = coeff * (A @ (P + P.T))
-    return np.concatenate([grad_b, grad_a.reshape(-1, order="F")])
+    k = phi.dims.k
+    P = np.linalg.solve(np.eye(k) - phi.b_matrix() + A.T @ A, np.eye(k))
+    return stiefel_gradient(A, P, phi.dims.p)

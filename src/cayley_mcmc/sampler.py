@@ -6,12 +6,20 @@ with the forward Cayley transform. Proposals are isotropic Gaussian random
 walks (optionally with separate scales for the skew-block and A-block
 coordinates) or leapfrog trajectories. Leapfrog uses the target's analytic
 pullback gradient, which exists on both manifolds for the uniform density
-and for any density with a `grad_fn`.
+and for any density with a `grad_fn`; each position costs one fused
+`PullbackTarget.value_and_gradient` call, and the chain state carries the
+gradient to the next trajectory.
 
 The proposal kind fixes both the step function and the acceptance rate
 that burn-in tunes the scale toward: 0.3 for the random walk, 0.7 for
-leapfrog. Randomness comes from numpy's PCG64 generator seeded
-explicitly, so runs are deterministic given (seed, config, target).
+leapfrog. The random walk adapts by Robbins-Monro on the accept
+indicator; leapfrog by dual averaging on the acceptance probability, with
+trajectories of a fixed, jittered path length (see `_leapfrog_chain`).
+The random walk keeps Robbins-Monro because its prefetch needs each
+row's scale before the row is evaluated, which dual averaging's update,
+driven by the row's acceptance probability, cannot give. Randomness comes
+from numpy's PCG64 generator seeded explicitly, so runs are deterministic
+given (seed, config, target).
 
 The random walk prefetches. Its noise does not depend on the chain's
 state, so from the current state the next LOOKAHEAD proposals on the
@@ -95,7 +103,11 @@ class ChainState:
     """Current position, cached log target, and step counters.
 
     `exit_count` counts steps rejected because the target left its domain
-    (-inf), `eval_count` target evaluations.
+    (-inf), `eval_count` target evaluations. Leapfrog also carries the
+    position's gradient in `grad` (None until first computed), so that each
+    position costs one fused `value_and_gradient` call, and records in
+    `accept_prob` the Metropolis acceptance probability of the step that
+    produced the state (0 for a domain exit), which dual averaging reads.
     """
 
     vector: np.ndarray
@@ -104,6 +116,8 @@ class ChainState:
     step_count: int = 0
     exit_count: int = 0
     eval_count: int = 0
+    grad: Optional[np.ndarray] = None
+    accept_prob: float = 0.0
 
     @property
     def acceptance_rate(self) -> float:
@@ -163,42 +177,55 @@ def mh_step(state: ChainState, target: PullbackTarget, proposal: ProposalConfig,
 
 
 def leapfrog_step(state: ChainState, target: PullbackTarget, proposal: ProposalConfig,
-                  rng: np.random.Generator, scale: Optional[float] = None) -> ChainState:
-    """One Hamiltonian proposal.
+                  rng: np.random.Generator, scale: Optional[float] = None,
+                  steps: Optional[int] = None) -> ChainState:
+    """One Hamiltonian proposal of `steps` leapfrog steps (default `proposal.leapfrog_steps`).
 
     Standard leapfrog with unit mass matrix and step size `scale`,
-    Metropolis-corrected on the total energy. A target whose density has
-    an `fn` but no `grad_fn` raises ValueError before the first move.
+    Metropolis-corrected on the total energy. Each position costs one
+    `target.value_and_gradient` call; the start's gradient is taken from
+    `state.grad`, or computed (and counted) once if it is None. A target
+    whose density has an `fn` but no `grad_fn` raises ValueError before the
+    first move.
     """
     if proposal.kind != "leapfrog":
         raise ValueError("leapfrog_step requires proposal.kind == 'leapfrog'")
     if scale is None:
         scale = proposal.scale
-    x = state.vector.copy()
+    if steps is None:
+        steps = proposal.leapfrog_steps
+    if steps < 1:
+        raise ValueError("a trajectory needs at least one leapfrog step")
+    evals = state.eval_count
+    grad0 = state.grad
+    if grad0 is None:
+        grad0 = target.gradient(state.vector)
+        evals += 1
+    x = state.vector
     mom = rng.standard_normal(x.shape[0])
     h0 = -state.log_target + 0.5 * mom @ mom
 
-    grad = target.gradient(x)
-    mom = mom + 0.5 * scale * grad
-    for step in range(proposal.leapfrog_steps):
+    mom = mom + 0.5 * scale * grad0
+    for step in range(steps):
         x = x + scale * mom
-        lp = target(x)
-        if not np.isfinite(lp):
+        lp, grad = target.value_and_gradient(x)
+        if grad is None:
             # Left the domain mid-trajectory: reject outright.
             return ChainState(state.vector, state.log_target, state.accept_count,
-                              state.step_count + 1, state.exit_count + 1,
-                              state.eval_count + step + 1)
-        grad = target.gradient(x)
-        mom = mom + (scale if step < proposal.leapfrog_steps - 1 else 0.5 * scale) * grad
+                              state.step_count + 1, state.exit_count + 1, evals + step + 1,
+                              grad0, 0.0)
+        mom = mom + (scale if step < steps - 1 else 0.5 * scale) * grad
     h1 = -lp + 0.5 * mom @ mom
+    # exp(min(0, .)) cannot overflow; a NaN energy (an overflowing momentum) accepts never.
+    accept_prob = float(np.exp(min(0.0, h0 - h1))) if not np.isnan(h1) else 0.0
 
     log_u = np.log(rng.uniform())
-    evals = state.eval_count + proposal.leapfrog_steps
+    evals += steps
     if h0 - h1 > log_u:
         return ChainState(x, lp, state.accept_count + 1, state.step_count + 1,
-                          state.exit_count, evals)
+                          state.exit_count, evals, grad, accept_prob)
     return ChainState(state.vector, state.log_target, state.accept_count, state.step_count + 1,
-                      state.exit_count, evals)
+                      state.exit_count, evals, grad0, accept_prob)
 
 
 def default_proposal(target: PullbackTarget, kind: str = "random-walk-gaussian",
@@ -231,27 +258,80 @@ class RunCounters:
     steps: int
     accepts: int
     domain_exits: int  # proposals rejected because the target left its domain
-    target_rows: int  # target evaluations, counting prefetched rows no step used
+    # Target evaluations, counting prefetched rows no step used; for leapfrog,
+    # fused value-and-gradient calls (one per position, plus the start's).
+    target_rows: int
 
 
 def _adapted(scale: float, t: int, accepted: float, target_acceptance: float) -> float:
-    """The Robbins-Monro burn-in update of the scale after step t."""
+    """The Robbins-Monro burn-in update of the random-walk scale after step t."""
     c_t = 1.0 / (t + 10.0) ** 0.6
     return scale * float(np.exp(c_t * (accepted - target_acceptance)))
 
 
+# Dual averaging of the leapfrog step in burn-in (Hoffman & Gelman 2014, arXiv
+# 1111.4246, section 3.2): shrinkage target mu = log(10 eps_0), shrinkage
+# GAMMA, early-iteration damping T0, averaging decay KAPPA, and the
+# acceptance probability DELTA it aims at.
+DA_GAMMA = 0.05
+DA_T0 = 10.0
+DA_KAPPA = 0.75
+DA_DELTA = 0.7
+# A trajectory has at most this many times the nominal leapfrog_steps, so a
+# step that burn-in drives toward 0 (a domain wall) cannot stall the chain.
+MAX_STEPS_FACTOR = 4
+
+
+class _DualAveraging:
+    """The dual-averaging step size: `step` to use next, `averaged` once burn-in ends."""
+
+    def __init__(self, step: float):
+        self.step = step
+        self.mu = np.log(10.0 * step)
+        self.h_bar = 0.0
+        self.log_averaged = 0.0
+        self.m = 0
+
+    def update(self, accept_prob: float) -> None:
+        self.m += 1
+        m = self.m
+        w = 1.0 / (m + DA_T0)
+        self.h_bar = (1.0 - w) * self.h_bar + w * (DA_DELTA - accept_prob)
+        log_step = self.mu - np.sqrt(m) / DA_GAMMA * self.h_bar
+        eta = m ** -DA_KAPPA
+        self.log_averaged = eta * log_step + (1.0 - eta) * self.log_averaged
+        self.step = float(np.exp(log_step))
+
+    @property
+    def averaged(self) -> float:
+        return float(np.exp(self.log_averaged)) if self.m else self.step
+
+
 def _leapfrog_chain(target, state, proposal, run, rng, coords):
-    """Leapfrog steps one at a time; returns (scale, sampling accepts, counters)."""
+    """Leapfrog trajectories of a fixed path length; returns (scale, sampling accepts, counters).
+
+    The path is scale * leapfrog_steps of `proposal`. Iteration t draws
+    u ~ U(0.8, 1.2) and takes L_t = max(1, round(path * u / eps_t)) steps,
+    at most MAX_STEPS_FACTOR * leapfrog_steps; the jitter keeps the chain
+    from being periodic. In burn-in eps_t follows dual averaging toward
+    acceptance probability 0.7; afterwards the chain uses the averaged step.
+    """
+    path = proposal.scale * proposal.leapfrog_steps
+    max_steps = MAX_STEPS_FACTOR * proposal.leapfrog_steps
+    adapt = _DualAveraging(proposal.scale)
     scale = proposal.scale
     sampling_accepts = 0
     for t in range(run.iterations):
+        if t == run.burn_in:
+            scale = adapt.averaged
+        steps = min(max_steps, max(1, round(path * rng.uniform(0.8, 1.2) / scale)))
         before = state.accept_count
-        state = leapfrog_step(state, target, proposal, rng, scale=scale)
-        accepted = state.accept_count > before
+        state = leapfrog_step(state, target, proposal, rng, scale=scale, steps=steps)
         if t < run.burn_in:
-            scale = _adapted(scale, t, float(accepted), 0.7)
+            adapt.update(state.accept_prob)
+            scale = adapt.step
         else:
-            sampling_accepts += accepted
+            sampling_accepts += state.accept_count > before
             if (t - run.burn_in + 1) % run.thin == 0:
                 coords[(t - run.burn_in + 1) // run.thin - 1] = state.vector
     counters = RunCounters(steps=state.step_count, accepts=state.accept_count,
@@ -323,19 +403,24 @@ def _random_walk_chain(target, state, proposal, run, rng, coords):
 
 def run_chain(target: PullbackTarget, init: np.ndarray, proposal: ProposalConfig,
               run: RunConfig) -> SampleBatch:
-    """Burn-in with Robbins-Monro scale adaptation, then sampling.
+    """Burn-in with scale adaptation, then sampling.
 
-    Adaptation multiplies the proposal scale by exp(c_t (a_t - a*)) with
-    c_t ~ t^{-0.6}, where a* is 0.3 for the random walk and 0.7 for
-    leapfrog, during burn-in only; the scale is frozen afterwards so the
-    sampling phase is a genuine Markov chain.
+    The random walk adapts by Robbins-Monro: the proposal scale is
+    multiplied by exp(c_t (a_t - 0.3)) with c_t ~ t^{-0.6} and a_t the
+    accept indicator. Leapfrog adapts its step by dual averaging toward
+    acceptance probability 0.7 and then uses the averaged step. Adaptation
+    runs during burn-in only; the scale is frozen afterwards so the sampling
+    phase is a genuine Markov chain, and `SampleBatch.final_scale` is the
+    frozen value.
 
     The random walk prefetches: each stacked target call evaluates the
     next LOOKAHEAD proposals on the all-reject path, with the chain equal
     to the byte to one `mh_step` per step (see `_random_walk_chain`).
-    Leapfrog runs one `leapfrog_step` per step. Kept draws are mapped to
-    frames after the chain, in one stacked forward map and one validation
-    pass (`PullbackTarget.frames`); an invalid kept draw raises then.
+    Leapfrog runs one `leapfrog_step` per iteration, over trajectories of a
+    fixed jittered path length (see `_leapfrog_chain`). Kept draws are
+    mapped to frames after the chain, in one stacked forward map and one
+    validation pass (`PullbackTarget.frames`); an invalid kept draw raises
+    then.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     if init.shape != (target.dim,):

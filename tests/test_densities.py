@@ -35,6 +35,7 @@ from cayley_mcmc.jacobian import (
     log_jacobian_stiefel,
 )
 from cayley_mcmc.sampler import ProposalConfig, RunConfig, run_chain
+from cayley_mcmc.special_matrices import skew_from_vech
 
 
 class TestLogDensity:
@@ -311,6 +312,80 @@ class TestPullbackTarget:
         v = rng.standard_normal(dims.d_v)
         expected = PullbackTarget(bingham, dims).gradient(v)
         assert np.array_equal(PullbackTarget(renamed, dims).gradient(v), expected)
+
+
+def log_j_gradient_complex_step(dims, x, h=1e-30):
+    """Gradient of the Stiefel log J = c - (p-1) log det(I - B + A^T A) by complex steps.
+
+    log det S is analytic in the coordinates (A^T A with the plain transpose),
+    so Im log det S(x + i h e_j) / h is its partial derivative to rounding,
+    with no subtraction: an oracle independent of the closed-form gradient.
+    """
+    p, k, n_b = dims.p, dims.k, dims.n_b
+    grad = np.empty(dims.d_v)
+    for j in range(dims.d_v):
+        z = x.astype(complex)
+        z[j] += 1j * h
+        A = z[n_b:].reshape((p - k, k), order="F")
+        B = skew_from_vech(z[:n_b].real, k) + 1j * skew_from_vech(z[:n_b].imag, k)
+        sign, _ = np.linalg.slogdet(np.eye(k) - B + A.T @ A)
+        grad[j] = -(p - 1) * np.angle(sign) / h
+    return grad
+
+
+class TestAdjointGradient:
+    """The Stiefel pullback gradient is an adjoint: no derivative matrix, same numbers."""
+
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (6, 3), (50, 3)])
+    def test_matches_dense_derivative_oracle(self, density, p, k):
+        rng = np.random.default_rng(10 * p + k)
+        dims = ManifoldDims(p, k)
+        params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
+                                         np.linspace(3.0, 1.0, k))
+        g = uniform_log_density() if density == "uniform" else bingham_log_density(params)
+        target = PullbackTarget(g, dims)
+        for _ in range(3):
+            x = 0.5 * rng.standard_normal(dims.d_v)
+            oracle = log_j_gradient_complex_step(dims, x)
+            if g.fn is not None:
+                coords = StiefelCoords.from_vector(dims, x)
+                G = g.grad_fn(StiefelPoint(dims=dims, Q=cayley_forward_dense(coords)))
+                oracle = oracle + derivative_stiefel(coords).matrix.T @ G.reshape(-1, order="F")
+            grad = target.gradient(x)
+            assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_value_and_gradient_is_value_and_gradient(self, manifold, density):
+        rng = np.random.default_rng(3)
+        p, k = 12, 3
+        dims = ManifoldDims(p, k)
+        params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
+                                         np.linspace(3.0, 1.0, k))
+        g = (uniform_log_density(manifold) if density == "uniform"
+             else bingham_log_density(params, manifold))
+        target = PullbackTarget(g, dims)
+        for _ in range(5):
+            x = rng.standard_normal(target.dim)
+            x *= 0.7 / np.linalg.norm(x)
+            value, grad = target.value_and_gradient(x)
+            assert value == pytest.approx(target(x), rel=1e-13, abs=1e-13)
+            assert np.array_equal(grad, target.gradient(x))
+
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    def test_grassmann_exit_has_no_gradient(self, density):
+        rng = np.random.default_rng(4)
+        dims = ManifoldDims(4, 2)
+        params = BinghamParams.from_data(rng.standard_normal((12, 4)), 1.0, np.array([2.0, 1.0]))
+        g = (uniform_log_density("grassmann") if density == "uniform"
+             else bingham_log_density(params, "grassmann"))
+        target = PullbackTarget(g, dims)
+        outside = np.diag([1.5, 0.3]).reshape(-1, order="F")
+        assert target.value_and_gradient(outside) == (-np.inf, None)
+        assert target(outside) == -np.inf
+        with pytest.raises(DomainError):
+            target.gradient(outside)
 
 
 class TestEntryMarginal:

@@ -1,10 +1,13 @@
 """End-to-end studies at reduced scale, plus the draws/report file formats."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cayley_mcmc.cli import parse_and_dispatch
 from cayley_mcmc.experiments import (
     ExperimentReport,
     SpikedDataSpec,
@@ -17,6 +20,11 @@ from cayley_mcmc.experiments import (
     write_report,
 )
 from cayley_mcmc.sampler import RunConfig
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmark"
+sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402  (read only: the benchmark's op command line and check)
 
 
 class TestSpikedDataSpec:
@@ -85,9 +93,22 @@ class TestBinghamExperiment:
         m = report.metrics
         assert 0.0 <= m["theta1_tv_between_chains"] <= 1.0
         assert len(m["acceptance_rates"]) == 2
+        assert len(m["final_scales"]) == 2 and all(s > 0 for s in m["final_scales"])
+        written = json.loads((tmp_path / "report.json").read_text())["metrics"]
+        assert written["final_scales"] == m["final_scales"]
         assert m["n_draws_per_chain"] == 400
         assert "theta1_chain0" in report.histograms
         assert "theta2_chain1" in report.histograms
+
+    # Op seeds s = 1000 * data seed + index whose two chains disagreed under the
+    # 5-step Robbins-Monro leapfrog: the Haar-start chain had not reached the mode.
+    @pytest.mark.parametrize("op_seed", [6036, 7033, 10010, 10017, 12012, 12030, 12041])
+    def test_benchmark_op_passes_its_check(self, tmp_path, capsys, op_seed):
+        """bingham-exp with the benchmark's command line passes the benchmark's check."""
+        out = tmp_path / "op"
+        assert parse_and_dispatch(workloads._bingham_argv(op_seed // 1000, op_seed, out)) == 0
+        check = workloads._bingham_check(out, op_seed // 1000)
+        assert check.ok, check.gates
 
     def test_posterior_concentrates_near_mode(self):
         spec = SpikedDataSpec(n=200, p=8, k=1, sigma2=1.0,

@@ -21,6 +21,7 @@ from cayley_mcmc.densities import (
 from cayley_mcmc.errors import CayleyError, ConditioningError
 from cayley_mcmc.sampler import (
     LOOKAHEAD,
+    MAX_STEPS_FACTOR,
     ChainState,
     ProposalConfig,
     RunConfig,
@@ -29,6 +30,7 @@ from cayley_mcmc.sampler import (
     init_from_manifold,
     leapfrog_step,
     mh_step,
+    _DualAveraging,
     run_chain,
 )
 
@@ -98,6 +100,13 @@ class TestSteps:
                               np.random.default_rng(0))
             assert np.array_equal(state.vector, start)
             assert (state.accept_count, state.step_count) == (0, 0)
+
+    def test_leapfrog_needs_a_step(self):
+        target = uniform_target()
+        state = ChainState(np.zeros(target.dim), target(np.zeros(target.dim)))
+        with pytest.raises(ValueError, match="at least one"):
+            leapfrog_step(state, target, ProposalConfig(kind="leapfrog"),
+                          np.random.default_rng(0), steps=0)
 
     def test_leapfrog_step_advances(self):
         target = uniform_target()
@@ -317,13 +326,60 @@ class TestPrefetchedChain:
         assert counters.steps < counters.target_rows <= LOOKAHEAD * counters.steps
 
     def test_leapfrog_counters(self):
+        """Target rows are the start's gradient plus one fused call per leapfrog position."""
         target = uniform_target(5, 2)
         prop = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=4)
         batch = run_chain(target, np.zeros(target.dim), prop,
                           RunConfig(iterations=50, burn_in=10, seed=10))
         counters = batch.counters
         assert counters.steps == 50 and 0 < counters.accepts <= 50
-        assert counters.domain_exits == 0 and counters.target_rows == 4 * 50
+        # Dual averaging grows the step on this broad target to about 0.4, so
+        # most trajectories of path 4 * 0.05 take a single step.
+        assert counters.domain_exits == 0 and counters.target_rows == 55
+
+
+class TestLeapfrogAdaptation:
+    """Path-length trajectories, dual averaging in burn-in, and the step cap."""
+
+    def test_steps_follow_the_jittered_path(self):
+        """Without burn-in the step stays at 0.05, so a path of 0.2 takes 3 to 5 steps."""
+        target = uniform_target(5, 2)
+        prop = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=4)
+        batch = run_chain(target, np.zeros(target.dim), prop,
+                          RunConfig(iterations=50, seed=10))
+        rows = batch.counters.target_rows
+        assert batch.final_scale == 0.05 and batch.counters.domain_exits == 0
+        assert 1 + 50 * 3 <= rows <= 1 + 50 * 5 and rows == 205
+
+    def test_step_freezes_at_the_average_after_burn_in(self):
+        target = uniform_target()
+        prop = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=4)
+        batches = [run_chain(target, np.zeros(target.dim), prop,
+                             RunConfig(iterations=n, burn_in=100, seed=9)) for n in (200, 400)]
+        assert batches[0].final_scale == batches[1].final_scale != 0.05
+        assert 0.5 < batches[1].acceptance_rate < 0.95
+
+    def test_dual_averaging_shrinks_toward_ten_times_the_initial_step(self):
+        at_target = _DualAveraging(0.02)
+        for _ in range(20):
+            at_target.update(0.7)
+        assert at_target.step == pytest.approx(0.2) and at_target.averaged == pytest.approx(0.2)
+        rejecting = _DualAveraging(0.02)
+        for _ in range(20):
+            rejecting.update(0.0)
+        assert rejecting.step < rejecting.averaged < 0.02
+
+    def test_trajectory_length_is_capped_where_the_step_collapses(self):
+        """At the Grassmann wall burn-in drives the step far down; a trajectory stays bounded."""
+        target = uniform_target(20, 4, "grassmann")
+        prop = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=10)
+        batch = run_chain(target, np.zeros(target.dim), prop,
+                          RunConfig(iterations=200, burn_in=100, seed=1))
+        assert batch.final_scale < 0.05 / MAX_STEPS_FACTOR
+        counters = batch.counters
+        assert counters.domain_exits > 0
+        assert counters.target_rows <= 1 + 200 * MAX_STEPS_FACTOR * 10
+        assert batch.acceptance_rate > 0.2
 
 
 class TestPrefetchErrors:

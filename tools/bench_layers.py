@@ -1,7 +1,8 @@
 """Per-layer timings of cayley_mcmc, written as one column of a BENCH json file.
 
 Each layer in LAYERS is timed at (p, k) in {(2, 1), (50, 3), (200, 5)} on
-both manifolds, as the median microseconds per call.
+both manifolds, as the median microseconds per call; `leapfrog_iteration`
+only on the Bingham study's V(3,50).
 
 Run it for each tree, in one session on one machine, into the same file,
 alternating the trees a few times:
@@ -44,6 +45,12 @@ LAYERS = {
     "forward": "cayley_forward_stiefel / cayley_forward_grassmann",
     "log_j": "log_jacobian_stiefel / log_jacobian_block_grassmann",
     "gradient": "the pullback gradient of the uniform and of the Bingham target",
+    "value_and_gradient": "the fused pullback value and gradient of the uniform and of the "
+                          "Bingham target",
+    "leapfrog_iteration": "one leapfrog iteration of the Bingham study (n=100, p=50, k=3, "
+                          "data seed 1) from its mode, at the step burn-in adapted and the "
+                          "proposal's path scale * leapfrog_steps: a run_chain of "
+                          "LEAPFROG_ITERATIONS with no burn-in, divided by them",
 }
 SHAPES = ((2, 1), (50, 3), (200, 5))
 MANIFOLDS = ("stiefel", "grassmann")
@@ -51,6 +58,8 @@ BUDGET_S = 0.15  # time spent per measurement, after MIN_CALLS
 MIN_CALLS = 7
 CHAIN_STEPS = 3000
 STACKS = (1, 8)
+LEAPFROG_BURN_IN = 50
+LEAPFROG_ITERATIONS = 20
 
 
 def median_us(fn, *args) -> float:
@@ -75,6 +84,36 @@ def chain_step_us(sampler, target, x) -> float:
     run = sampler.RunConfig(iterations=CHAIN_STEPS, burn_in=CHAIN_STEPS // 10, thin=10, seed=1)
     proposal = sampler.default_proposal(target)
     return median_us(sampler.run_chain, target, x, proposal, run) / CHAIN_STEPS
+
+
+def leapfrog_iteration_us(np) -> float:
+    """Time per iteration of the Bingham study's leapfrog chain at its adapted step.
+
+    Burn-in (LEAPFROG_BURN_IN iterations from the mode) adapts the step; the
+    timed chain then runs LEAPFROG_ITERATIONS at that step with no burn-in,
+    over trajectories of the proposal's path length, scale * leapfrog_steps.
+    """
+    from cayley_mcmc import experiments, sampler
+    from cayley_mcmc.cayley import ManifoldDims
+    from cayley_mcmc.densities import BinghamParams, PullbackTarget, bingham_log_density
+
+    spec = experiments.SpikedDataSpec(n=100, p=50, k=3, sigma2=1.0,
+                                      lam=np.array([5.0, 3.0, 1.5]), seed=1)
+    dims = ManifoldDims(spec.p, spec.k)
+    Y, _ = experiments.simulate_spiked_data(spec)
+    params = BinghamParams.from_data(Y, spec.sigma2, spec.lam)
+    target = PullbackTarget(bingham_log_density(params), dims)
+    w, vecs = np.linalg.eigh(params.S)
+    mode = experiments._safe_frame(vecs[:, np.argsort(w)[::-1][: spec.k]], dims)
+    init = sampler.init_from_manifold(mode)
+    nominal = experiments.BINGHAM_PROPOSAL
+    adapted = sampler.run_chain(target, init, nominal,
+                                sampler.RunConfig(iterations=LEAPFROG_BURN_IN + 1,
+                                                  burn_in=LEAPFROG_BURN_IN, seed=1)).final_scale
+    steps = max(1, round(nominal.scale * nominal.leapfrog_steps / adapted))
+    proposal = sampler.ProposalConfig(kind="leapfrog", scale=adapted, leapfrog_steps=steps)
+    run = sampler.RunConfig(iterations=LEAPFROG_ITERATIONS, seed=2)
+    return median_us(sampler.run_chain, target, init, proposal, run) / LEAPFROG_ITERATIONS
 
 
 def all_rows(target, X) -> None:
@@ -128,12 +167,16 @@ def measure() -> dict:
                 "gradient.uniform": median_us(uniform.gradient, x),
                 "gradient.bingham": median_us(bingham.gradient, x),
             }
+            if hasattr(uniform, "value_and_gradient"):
+                row["value_and_gradient.uniform"] = median_us(uniform.value_and_gradient, x)
+                row["value_and_gradient.bingham"] = median_us(bingham.value_and_gradient, x)
             if hasattr(uniform, "rows"):
                 for m in STACKS:
                     X = np.stack([point_in_domain(np, rng, manifold, p, k) for _ in range(m)])
                     row[f"rows.m{m}.uniform"] = median_us(all_rows, uniform, X)
             for layer, us in row.items():
                 layers[f"{layer}.{manifold}.p{p}k{k}"] = round(us, 2)
+    layers["leapfrog_iteration.bingham.stiefel.p50k3"] = round(leapfrog_iteration_us(np), 2)
     return layers
 
 
