@@ -101,9 +101,11 @@ class BinghamParams:
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if self.sigma2 <= 0:
+        # Written so that NaN and inf fail each test.
+        if not 0 < self.sigma2 < np.inf:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if lam.ndim != 1 or np.any(lam <= 0) or np.any(np.diff(lam) >= 0):
+        if (lam.ndim != 1 or not np.all((0 < lam) & (lam < np.inf))
+                or not np.all(np.diff(lam) < 0)):
             raise ValueError("lambda must be strictly decreasing and positive")
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"S must be square, got shape {S.shape}")

@@ -72,9 +72,11 @@ class SpikedDataSpec:
             raise ValueError("n must be >= 1")
         if not (1 <= self.k < self.p):
             raise ValueError(f"require 1 <= k < p, got p={self.p}, k={self.k}")
-        if lam.shape != (self.k,) or np.any(lam <= 0) or np.any(np.diff(lam) >= 0):
+        # Written so that NaN and inf fail each test.
+        if (lam.shape != (self.k,) or not np.all((0 < lam) & (lam < np.inf))
+                or not np.all(np.diff(lam) < 0)):
             raise ValueError("lambda must be a strictly decreasing positive k-vector")
-        if self.sigma2 <= 0:
+        if not 0 < self.sigma2 < np.inf:
             raise ValueError("sigma2 must be positive")
         object.__setattr__(self, "lam", lam)
 

@@ -24,13 +24,12 @@ from .cayley import (
     GrassmannCoords,
     ManifoldDims,
     StiefelCoords,
-    grassmann_domain_margin,
     grassmann_spectra,
     grassmann_spectrum,
     guard_resolvent,
     in_grassmann_domain,
 )
-from .errors import ConditioningError, DomainError
+from .errors import ConditioningError
 from .special_matrices import coordinate_pairs, vech_strict
 
 __all__ = [
@@ -107,12 +106,15 @@ def derivative_stiefel(phi: StiefelCoords) -> DerivativeMatrix:
 
 
 def derivative_grassmann(psi: GrassmannCoords) -> DerivativeMatrix:
-    """Derivative of the Grassmann Cayley map on the open eigenvalue domain."""
-    if grassmann_domain_margin(psi) <= 0:
-        raise DomainError("derivative_grassmann: coordinates outside the eigenvalue domain")
+    """Derivative of the Grassmann Cayley map on the open eigenvalue domain.
+
+    Outside the domain (see `grassmann_spectrum`) it raises DomainError.
+    """
+    A = psi.a_matrix()
+    grassmann_spectrum(A, "derivative_grassmann")
     dims = psi.dims
     zero_b = np.zeros((dims.k, dims.k))
-    D = _derivative(psi.a_matrix(), zero_b, dims.p, dims.k, grassmann=True)
+    D = _derivative(A, zero_b, dims.p, dims.k, grassmann=True)
     return DerivativeMatrix(p=dims.p, k=dims.k, matrix=D)
 
 
@@ -286,9 +288,11 @@ def stiefel_gradient(A: np.ndarray, P: np.ndarray, p: int,
 def grad_log_jacobian_stiefel(phi: StiefelCoords) -> np.ndarray:
     """Gradient of the closed-form log-Jacobian in coordinate order (b, vec A).
 
-    The typed boundary of `stiefel_gradient`, with P = S^{-1} from one solve.
+    The typed boundary of `stiefel_gradient`, with P = S^{-1} from one
+    guarded solve: non-finite or ill-conditioned S raises ConditioningError.
     """
     A = phi.a_matrix()
     k = phi.dims.k
-    P = np.linalg.solve(np.eye(k) - phi.b_matrix() + A.T @ A, np.eye(k))
+    S = guard_resolvent(np.eye(k) - phi.b_matrix() + A.T @ A, "grad_log_jacobian_stiefel")
+    P = np.linalg.solve(S, np.eye(k))
     return stiefel_gradient(A, P, phi.dims.p)

@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, config merge, file formats, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ class TestMatrixCsv:
         path = tmp_path / "bad.csv"
         path.write_text("# rows=1 cols=2\n1,oops\n")
         with pytest.raises(Exception, match="non-numeric"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# rows=2 cols=2\n1,2\n3,{cell}\n")
+        with pytest.raises(cli.InputError, match=re.escape(f"{path}:3: non-finite cell")):
             read_matrix_csv(path)
 
     def test_empty_file(self, tmp_path):
@@ -85,11 +93,33 @@ class TestExitCodes:
     @pytest.mark.parametrize("exc,code", [(np.linalg.LinAlgError("singular"), EXIT_NUMERICAL),
                                           (ValueError("bad value"), EXIT_USAGE)])
     def test_value_errors_map_by_class(self, monkeypatch, capsys, exc, code):
-        def fail(args):
+        def fail(cfg):
             raise exc
 
-        monkeypatch.setitem(cli._DISPATCH, "roundtrip-check", fail)
+        help_text, flags, _ = cli.COMMANDS["roundtrip-check"]
+        monkeypatch.setitem(cli.COMMANDS, "roundtrip-check", (help_text, flags, fail))
         assert parse_and_dispatch(["roundtrip-check", "--p", "3", "--k", "1"]) == code
+
+    def test_empty_list_is_usage_error(self, capsys, tmp_path):
+        code = parse_and_dispatch([
+            "normal-approx-exp", "--k", "3", "--p-grid", ",", "--seed", "1",
+            "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "usage-error: expected a non-empty list of integers, got ','\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("params,message", [
+        (["--k", "1", "--lambda", "nan"], "lambda must be a strictly decreasing positive k-vector"),
+        (["--k", "2", "--lambda", "inf,1"], "lambda must be a strictly decreasing positive k-vector"),
+        (["--k", "2", "--lambda", "2,1", "--sigma2", "nan"], "sigma2 must be positive"),
+    ])
+    def test_non_finite_parameters_are_usage_errors(self, capsys, tmp_path, params, message):
+        """Rejected before any file is written."""
+        code = parse_and_dispatch(["bingham-exp", "--p", "5", *params, "--iters", "20",
+                                   "--burn", "10", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage-error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_roundtrip_check_ok(self, capsys):
         assert parse_and_dispatch(["roundtrip-check", "--p", "6", "--k", "2"]) == EXIT_OK
@@ -133,6 +163,18 @@ class TestSampleCommand:
             "--iters", "200", "--burn", "50", "--seed", "2",
             "--out", str(tmp_path / "o")])
         assert code == EXIT_OK
+
+    def test_non_finite_data_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "y.csv"
+        Y = np.random.default_rng(3).standard_normal((30, 5))
+        Y[3, 1] = np.nan
+        write_matrix_csv(data, Y)
+        code = parse_and_dispatch([
+            "sample", "--p", "5", "--k", "2", "--target", "bingham",
+            "--data", str(data), "--sigma2", "1.0", "--lambda", "3,1",
+            "--iters", "20", "--seed", "2", "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"input-error: {data}:5: non-finite cell\n"
 
     def test_grassmann_sampling(self, tmp_path, capsys):
         code = parse_and_dispatch([

@@ -65,6 +65,13 @@ class TestBinghamParams:
         with pytest.raises(ValueError):
             BinghamParams(S=np.eye(3), sigma2=1.0, lam=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("sigma2,lam", [(np.nan, [2.0, 1.0]), (1.0, [np.nan, 1.0]),
+                                            (1.0, [2.0, np.nan]), (1.0, [np.nan]),
+                                            (np.inf, [2.0, 1.0]), (1.0, [np.inf, 1.0])])
+    def test_rejects_non_finite_parameters(self, sigma2, lam):
+        with pytest.raises(ValueError):
+            BinghamParams(S=np.eye(3), sigma2=sigma2, lam=np.array(lam))
+
     def test_rejects_asymmetric_s(self):
         with pytest.raises(ValueError):
             BinghamParams(S=np.array([[1.0, 5.0], [0.0, 1.0]]), sigma2=1.0,
@@ -258,18 +265,22 @@ class TestPullbackTarget:
         dims = ManifoldDims(4, 2)
         target = PullbackTarget(uniform_log_density("grassmann"), dims)
         edge = np.diag([np.sqrt(1.0 - 1e-13), 0.3]).reshape(-1, order="F")
-        with pytest.raises(DomainError):
-            cayley_forward_grassmann(target.coords(edge))
+        routes = (cayley_forward_grassmann, log_jacobian_block_grassmann, derivative_grassmann)
+        for route in routes:
+            with pytest.raises(DomainError):
+                route(target.coords(edge))
         assert target(edge) == -np.inf
-        # Margins 1 - lam_max on both sides of the edge, which sits near 2e-12.
+        # Margins 1 - lam_max on both sides of the edge, which sits near 2e-12;
+        # the forward map, the closed-form log J and the derivative share it.
         for margin in (-1e-3, -1e-12, 1e-14, 5e-13, 1.9e-12, 2.1e-12, 3e-12, 1e-10, 1e-3):
             x = np.diag([np.sqrt(1.0 - margin), 0.3]).reshape(-1, order="F")
-            try:
-                cayley_forward_grassmann(target.coords(x))
-                rejected = False
-            except DomainError:
-                rejected = True
-            assert (target(x) == -np.inf) == rejected, margin
+            for route in routes:
+                try:
+                    route(target.coords(x))
+                    rejected = False
+                except DomainError:
+                    rejected = True
+                assert (target(x) == -np.inf) == rejected, (margin, route.__name__)
         # Steps of 2e-13 from a margin of 2.5e-12 cross the edge; every kept frame is valid.
         inside = np.diag([np.sqrt(1.0 - 2.5e-12), 0.3]).reshape(-1, order="F")
         for seed in (1, 2):

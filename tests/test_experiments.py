@@ -36,6 +36,13 @@ class TestSpikedDataSpec:
         with pytest.raises(ValueError):
             SpikedDataSpec(n=10, p=5, k=2, sigma2=-1.0, lam=np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize("sigma2,lam", [(np.nan, [2.0, 1.0]), (1.0, [np.nan, 1.0]),
+                                            (1.0, [2.0, np.nan]), (np.inf, [2.0, 1.0]),
+                                            (1.0, [np.inf, 1.0])])
+    def test_rejects_non_finite_parameters(self, sigma2, lam):
+        with pytest.raises(ValueError):
+            SpikedDataSpec(n=10, p=5, k=2, sigma2=sigma2, lam=np.array(lam))
+
 
 class TestSimulateSpikedData:
     def test_shapes_and_determinism(self):

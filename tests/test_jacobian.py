@@ -196,6 +196,17 @@ class TestClosedFormGradient:
                   - log_jacobian_stiefel(StiefelCoords.from_vector(dims, phi_vec - e))) / 2e-6
             assert abs(grad[j] - fd) < 1e-6
 
+    @pytest.mark.parametrize("bad", [np.nan, 1e200])
+    def test_unusable_coordinates_raise(self, bad):
+        """A NaN or overflowing coordinate raises, as the target's gradient does."""
+        dims = ManifoldDims(4, 2)
+        phi_vec = np.full(dims.d_v, 0.1)
+        phi_vec[-1] = bad
+        with pytest.raises(ConditioningError):
+            grad_log_jacobian_stiefel(StiefelCoords.from_vector(dims, phi_vec))
+        with pytest.raises(ConditioningError):
+            PullbackTarget(uniform_log_density("stiefel"), dims).gradient(phi_vec)
+
 
 class TestGrassmannGradient:
     """The spectral gradients on G(k,p) near the domain edge, against oracles."""
