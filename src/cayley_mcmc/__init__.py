@@ -54,7 +54,7 @@ from .jacobian import (
     log_jacobian_block_stiefel,
     log_jacobian_naive,
 )
-from .sampler import ProposalConfig, RunConfig, run_chain
+from .sampler import ProposalConfig, RunConfig, run_chain, run_chains
 from .special_matrices import commutation_matrix, dtilde_matrix, gamma_grassmann, gamma_stiefel
 
 __version__ = "0.1.0"
@@ -100,6 +100,7 @@ __all__ = [
     "pullback_log_density",
     "run_bingham_experiment",
     "run_chain",
+    "run_chains",
     "run_normal_approx_experiment",
     "run_uniform_experiment",
     "simulate_spiked_data",

@@ -136,6 +136,27 @@ def _max_abs(M: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(M).reshape(n, rows * cols), axis=1)
 
 
+def _frame_checks(Q: np.ndarray, grassmann: bool):
+    """Per frame, what `check_frames` tests: max |Q^T Q - I| and, on G(k,p), max |Q1 - Q1^T|
+    and the smallest eigenvalue of the top block Q1 (None on V(k,p))."""
+    k = Q.shape[-1]
+    ortho = _max_abs(Q.swapaxes(-1, -2) @ Q - np.eye(k))
+    if not grassmann:
+        return ortho, None, None
+    Q1 = Q[:, :k]
+    Q1t = Q1.swapaxes(-1, -2)
+    return ortho, _max_abs(Q1 - Q1t), np.linalg.eigvalsh(0.5 * (Q1 + Q1t)).min(axis=-1)
+
+
+def _raise_frame_error(i: int, ortho: np.ndarray, sym, lam_min) -> None:
+    """The error frame i's point constructor raises: the first of its checks that it fails."""
+    if ortho[i] > ORTHO_TOL:
+        raise ValueError(f"columns not orthonormal: max |Q^T Q - I| = {ortho[i]:.3e}")
+    if sym[i] > ORTHO_TOL:
+        raise DomainError(f"top block not symmetric: max |Q1 - Q1^T| = {sym[i]:.3e}")
+    raise DomainError(f"top block not positive definite: min eigenvalue {lam_min[i]:.3e}")
+
+
 def check_frames(Q: np.ndarray, grassmann: bool = False) -> None:
     """Apply every `StiefelPoint` check, or every `GrassmannPoint` check, to a stack Q (n, p, k).
 
@@ -145,23 +166,26 @@ def check_frames(Q: np.ndarray, grassmann: bool = False) -> None:
     that fails raises the error its point constructor raises, for the first
     check it fails in that order.
     """
-    k = Q.shape[-1]
-    ortho = _max_abs(Q.swapaxes(-1, -2) @ Q - np.eye(k))
+    ortho, sym, lam_min = _frame_checks(Q, grassmann)
     failing = ortho > ORTHO_TOL
     if grassmann:
-        Q1 = Q[:, :k]
-        Q1t = Q1.swapaxes(-1, -2)
-        sym = _max_abs(Q1 - Q1t)
-        lam_min = np.linalg.eigvalsh(0.5 * (Q1 + Q1t)).min(axis=-1)
         failing |= (sym > ORTHO_TOL) | (lam_min <= SPD_EIG_CUTOFF)
-    if not failing.any():
-        return
-    i = np.flatnonzero(failing)[0]
-    if ortho[i] > ORTHO_TOL:
-        raise ValueError(f"columns not orthonormal: max |Q^T Q - I| = {ortho[i]:.3e}")
-    if sym[i] > ORTHO_TOL:
-        raise DomainError(f"top block not symmetric: max |Q1 - Q1^T| = {sym[i]:.3e}")
-    raise DomainError(f"top block not positive definite: min eigenvalue {lam_min[i]:.3e}")
+    if failing.any():
+        _raise_frame_error(np.flatnonzero(failing)[0], ortho, sym, lam_min)
+
+
+def grassmann_frame_exits(Q: np.ndarray) -> np.ndarray:
+    """Which frames of a stack Q (n, p, k) `GrassmannPoint` rejects with DomainError.
+
+    Those fail the top-block checks of `check_frames`, a domain exit; a frame
+    whose columns are not orthonormal raises the ValueError of its point
+    constructor instead, the first in stack order.
+    """
+    ortho, sym, lam_min = _frame_checks(Q, grassmann=True)
+    skewed = ortho > ORTHO_TOL
+    if skewed.any():
+        _raise_frame_error(np.flatnonzero(skewed)[0], ortho, sym, lam_min)
+    return (sym > ORTHO_TOL) | (lam_min <= SPD_EIG_CUTOFF)
 
 
 @dataclass(frozen=True)

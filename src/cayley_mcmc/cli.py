@@ -171,10 +171,12 @@ def _cmd_sample(cfg: dict) -> int:
     if cfg["target"] == "bingham":
         if cfg["data"] is None or cfg["sigma2"] is None or cfg["lam"] is None:
             raise UsageError("bingham target requires --data, --sigma2 and --lambda")
+        lam = np.array(_parse_list(cfg["lam"], float))
+        # Flag values: a ValueError here is a usage error. Only the data's checks are input errors.
+        BinghamParams.check_prior(cfg["sigma2"], lam)
         Y = read_matrix_csv(cfg["data"])
         if Y.shape[1] != cfg["p"]:
             raise InputError(f"data has {Y.shape[1]} columns, expected p={cfg['p']}")
-        lam = np.array(_parse_list(cfg["lam"], float))
         try:
             params = BinghamParams.from_data(Y, cfg["sigma2"], lam)
         except ValueError as exc:

@@ -23,6 +23,7 @@ from .cayley import (
     StiefelPoint,
     check_frames,
     grassmann_frame,
+    grassmann_frame_exits,
     grassmann_spectra,
     grassmann_spectrum,
     guard_resolvent,
@@ -58,26 +59,31 @@ Point = Union[StiefelPoint, GrassmannPoint]
 
 @dataclass(frozen=True)
 class LogDensity:
-    """A log density (up to a constant) on one of the two manifolds.
+    """A log density (up to a constant) on one of the two manifolds, evaluated on stacks of frames.
 
-    `fn` is None for the constant density, the uniform distribution, whose
-    pullback is the log-Jacobian alone. `grad_fn` returns the p x k matrix
-    of partial derivatives of the log density with respect to the entries
-    of Q; gradient-based proposals need it whenever `fn` is set. A constant
-    density needs no `grad_fn`.
+    `fn(Q)` maps a stack Q (n, p, k) of validated frames to its n log
+    densities; it is None for the constant density, the uniform
+    distribution, whose pullback is the log-Jacobian alone.
+    `value_and_grad_fn(Q)` returns the same values together with the
+    (n, p, k) partial derivatives of each log density with respect to the
+    entries of its Q, from shared work; gradient-based proposals need it
+    whenever `fn` is set. A constant density needs neither. A call on one
+    point is the n = 1 case.
     """
 
-    fn: Optional[Callable[[Point], float]]
+    fn: Optional[Callable[[np.ndarray], np.ndarray]]
     manifold: str  # "stiefel" | "grassmann"
     name: str = "custom"
-    grad_fn: Optional[Callable[[Point], np.ndarray]] = None
+    value_and_grad_fn: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.manifold not in ("stiefel", "grassmann"):
             raise ValueError(f"unknown manifold tag {self.manifold!r}")
+        if self.fn is None and self.value_and_grad_fn is not None:
+            raise ValueError("a value_and_grad_fn needs the fn whose values it returns")
 
     def __call__(self, point: Point) -> float:
-        return 0.0 if self.fn is None else float(self.fn(point))
+        return 0.0 if self.fn is None else float(self.fn(point.Q[None])[0])
 
 
 def uniform_log_density(manifold: str = "stiefel") -> LogDensity:
@@ -101,12 +107,7 @@ class BinghamParams:
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        # Written so that NaN and inf fail each test.
-        if not 0 < self.sigma2 < np.inf:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if (lam.ndim != 1 or not np.all((0 < lam) & (lam < np.inf))
-                or not np.all(np.diff(lam) < 0)):
-            raise ValueError("lambda must be strictly decreasing and positive")
+        self.check_prior(self.sigma2, lam)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"S must be square, got shape {S.shape}")
         if np.max(np.abs(S - S.T)) > 1e-8 * max(1.0, np.max(np.abs(S))):
@@ -116,6 +117,22 @@ class BinghamParams:
         object.__setattr__(self, "S", 0.5 * (S + S.T))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "m_diag", (lam / (1.0 + lam)) / (2.0 * self.sigma2))
+
+    @staticmethod
+    def check_prior(sigma2: float, lam: np.ndarray) -> None:
+        """ValueError unless sigma2 > 0 and lam is a strictly decreasing positive vector.
+
+        The checks on the prior's parameters, which the constructor runs
+        before those on S; a caller that takes them from the user can run
+        them first.
+        """
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        # Written so that NaN and inf fail each test.
+        if not 0 < sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be positive, got {sigma2}")
+        if (lam.ndim != 1 or not np.all((0 < lam) & (lam < np.inf))
+                or not np.all(np.diff(lam) < 0)):
+            raise ValueError("lambda must be strictly decreasing and positive")
 
     @classmethod
     def from_data(cls, Y: np.ndarray, sigma2: float, lam: np.ndarray) -> "BinghamParams":
@@ -128,23 +145,31 @@ class BinghamParams:
 
 
 def bingham_log_density(params: BinghamParams, manifold: str = "stiefel") -> LogDensity:
-    """Matrix Bingham log density trace(M Q^T S Q)."""
+    """Matrix Bingham log density trace(M Q^T S Q), and its gradient 2 S Q M, on stacks of frames.
 
-    def fn(point: Point) -> float:
-        Q = point.Q
-        if Q.shape[0] != params.S.shape[0] or Q.shape[1] != params.k:
+    The value and the gradient of a stack come from one stacked product S Q.
+    """
+    shape = (params.S.shape[0], params.k)
+
+    def value_and_sq(Q: np.ndarray):
+        if Q.shape[-2:] != shape:
             raise ValueError(
-                f"point shape {Q.shape} incompatible with Bingham params "
-                f"(p={params.S.shape[0]}, k={params.k})"
+                f"point shape {Q.shape[-2:]} incompatible with Bingham params "
+                f"(p={shape[0]}, k={shape[1]})"
             )
         SQ = params.S @ Q
-        return float(np.sum(params.m_diag * np.einsum("ij,ij->j", Q, SQ)))
+        return (params.m_diag * np.einsum("...ij,...ij->...j", Q, SQ)).sum(axis=-1), SQ
 
-    def grad_fn(point: Point) -> np.ndarray:
+    def fn(Q: np.ndarray) -> np.ndarray:
+        return value_and_sq(Q)[0]
+
+    def value_and_grad_fn(Q: np.ndarray):
         # d/dQ trace(M Q^T S Q) = 2 S Q M for symmetric S, diagonal M.
-        return 2.0 * (params.S @ point.Q) * params.m_diag
+        values, SQ = value_and_sq(Q)
+        return values, 2.0 * SQ * params.m_diag
 
-    return LogDensity(fn=fn, manifold=manifold, name="bingham", grad_fn=grad_fn)
+    return LogDensity(fn=fn, manifold=manifold, name="bingham",
+                      value_and_grad_fn=value_and_grad_fn)
 
 
 def pullback_log_density(g: LogDensity, coords: Coords) -> float:
@@ -187,10 +212,13 @@ class PullbackTarget:
     log-Jacobian constant. `rows` evaluates the pullback at a stack of raw
     vectors through stacked k x k kernels, with no coordinate object and no
     shape check: callers validate a vector's shape once, at the boundary
-    (`run_chain` checks its initial state). A call is its one-row case, and
+    (`run_chains` checks the initial states). A call is its one-row case, and
     the typed routes (`pullback_log_density`, `log_jacobian_stiefel`, ...)
-    are boundaries over the same kernels. `coords`, `point` and `frames`
-    map vectors to typed coordinates and validated frames.
+    are boundaries over the same kernels. `values_and_gradients` is the one
+    fused value-and-gradient kernel, on a stack of vectors, with g evaluated
+    on the stack of their validated frames; `value_and_gradient` and
+    `gradient` are its one-row case. `coords`, `point` and `frames` map
+    vectors to typed coordinates and validated frames.
     """
 
     def __init__(self, g: LogDensity, dims: ManifoldDims):
@@ -304,58 +332,109 @@ class PullbackTarget:
 
     @property
     def has_gradient(self) -> bool:
-        """A gradient exists unless the density has an `fn` but no `grad_fn`."""
-        return self.g.fn is None or self.g.grad_fn is not None
+        """A gradient exists unless the density has an `fn` but no `value_and_grad_fn`."""
+        return self.g.fn is None or self.g.value_and_grad_fn is not None
 
-    def value_and_gradient(self, vector: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
-        """The pullback at a raw coordinate vector and its gradient, from one k x k factorization.
+    def values_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pullback and its gradient at each row of a stack X (n, d): stacked k x k kernels.
 
-        On V(k,p) one guarded solve gives P = S^{-1} for S = I + A^T A - B,
-        and with it the frame (Q1 = 2P - I, Q2 = 2AP) at which g and its
-        `grad_fn` are evaluated, and the adjoint gradient
-        (`jacobian.stiefel_gradient`); log J is the same slogdet as the
-        value's. On G(k,p) one eigendecomposition of A^T A gives log J, the
-        frame and the gradient (`jacobian.grassmann_gradient`). The value
-        equals `self(vector)` to rounding: the frame comes from another
-        factorization. Outside the Grassmann domain, or where
-        `GrassmannPoint` rejects the frame g needs, it returns (-inf, None);
-        errors otherwise raise as the value's do.
+        Returns the (n,) values and the (n, d) gradients. On V(k,p) one
+        guarded stacked solve gives P = S^{-1} for each S = I + A^T A - B,
+        and with it the frame (Q1 = 2P - I, Q2 = 2AP) at which g is
+        evaluated and the adjoint gradient (`jacobian.stiefel_gradient`);
+        log J is the same slogdet as the value's. On G(k,p) one stacked
+        eigendecomposition of A^T A gives log J, the frame and the gradient
+        (`jacobian.grassmann_gradient`). When `fn` is set, every frame passes
+        `check_frames` once per stack before g's `value_and_grad_fn` sees the
+        stack of them. Each row equals its one-row call bit for bit, and its
+        value equals `self(X[j])` to rounding: the frame comes from another
+        factorization.
+
+        A row whose value is -inf has no gradient, and its gradient row is
+        NaN: a Grassmann row outside the domain, or whose frame
+        `GrassmannPoint` rejects when g needs it (g never sees those), or a
+        row where g itself is -inf. The other rows do not change. Every other
+        check runs on every row, and the first row that fails raises: an
+        orientation or conditioning failure of S or a non-finite Grassmann
+        row (ConditioningError), a frame that fails `check_frames`, a NaN
+        value (ConditioningError).
         """
         if not self.has_gradient:
-            raise ValueError(f"target {self.g.name!r} has an fn but no grad_fn")
-        g, dims = self.g, self.dims
+            raise ValueError(f"target {self.g.name!r} has an fn but no value_and_grad_fn")
         if self._stiefel:
-            A, AtA, B = self._stiefel_blocks(vector[None])
-            S = self._eye + AtA - B
-            log_j, oriented = stiefel_log_jacobian(S, dims.p, self._log_j_constant)
-            require_oriented(oriented[0])
-            A = A[0]
-            P = np.linalg.solve(guard_resolvent(S[0], "PullbackTarget.value_and_gradient"),
-                                self._eye)
-            value = float(log_j[0])
-            if g.fn is None:
-                return _not_nan(value), stiefel_gradient(A, P, dims.p)
-            point = StiefelPoint(dims=dims, Q=np.concatenate([2.0 * P - self._eye, 2.0 * A @ P]))
-            return (_not_nan(g(point) + value),
-                    stiefel_gradient(A, P, dims.p, g.grad_fn(point)))
-        A = self._a_stack(vector[None])[0]
-        lam, V = grassmann_spectrum(A, "PullbackTarget.value_and_gradient", vectors=True,
-                                    in_domain=False)
-        if not in_grassmann_domain(lam[-1]):
-            return -math.inf, None
-        value = float(_log_jacobian_lowrank(lam, dims.p, dims.k))
+            values, gradients = self._stiefel_values_and_gradients(X)
+        else:
+            values, gradients = self._grassmann_values_and_gradients(X)
+        # One reduction: NaN and -inf both make the sum non-finite.
+        if not math.isfinite(values.sum()):
+            if np.isnan(values).any():
+                _not_nan(math.nan)  # the one-row value's ConditioningError
+            gradients[values == -np.inf] = np.nan
+        return values, gradients
+
+    def _stiefel_values_and_gradients(self, X: np.ndarray):
+        g, p = self.g, self.dims.p
+        A, AtA, B = self._stiefel_blocks(X)
+        S = self._eye + AtA - B
+        log_j, oriented = stiefel_log_jacobian(S, p, self._log_j_constant)
+        if not oriented.all():
+            require_oriented(False)
+        P = np.linalg.solve(guard_resolvent(S, "PullbackTarget.value_and_gradient"), self._eye)
         if g.fn is None:
-            return _not_nan(value), grassmann_gradient(A, lam, V, dims.p)
-        try:
-            point = GrassmannPoint(dims=dims, Q=grassmann_frame(A, lam, V))
-        except DomainError:
-            return -math.inf, None
-        return _not_nan(g(point) + value), grassmann_gradient(A, lam, V, dims.p, g.grad_fn(point))
+            return log_j, stiefel_gradient(A, P, p)
+        Q = np.concatenate([2.0 * P - self._eye, 2.0 * A @ P], axis=-2)
+        check_frames(Q)
+        g_values, G = g.value_and_grad_fn(Q)
+        return g_values + log_j, stiefel_gradient(A, P, p, G)
+
+    def _grassmann_values_and_gradients(self, X: np.ndarray):
+        g, n = self.g, X.shape[0]
+        A = self._a_stack(X)
+        lam, V = grassmann_spectra(A, vectors=True)
+        if math.isnan(lam[:, 0].sum()):
+            raise ConditioningError("PullbackTarget.value_and_gradient: non-finite coordinates")
+        # Exits are dropped from X, so each kept A is the same view of its vector as in a
+        # one-row call, and every stacked product rounds as it does there.
+        rows = np.arange(n)
+        inside = in_grassmann_domain(lam[:, -1])
+        if not inside.all():
+            rows, X, lam, V = rows[inside], X[inside], lam[inside], V[inside]
+            A = self._a_stack(X)
+        if g.fn is not None:
+            Q = grassmann_frame(A, lam, V)
+            kept = ~grassmann_frame_exits(Q)
+            if not kept.all():
+                rows, X, lam, V, Q = rows[kept], X[kept], lam[kept], V[kept], Q[kept]
+                A = self._a_stack(X)
+        if not rows.size:
+            return np.full(n, -np.inf), np.full((n, self.dim), np.nan)
+        log_j = _log_jacobian_lowrank(lam, self.dims.p, self.dims.k)
+        G = None
+        if g.fn is not None:
+            g_values, G = g.value_and_grad_fn(Q)
+            log_j = g_values + log_j
+        gradients = grassmann_gradient(A, lam, V, self.dims.p, G)
+        if rows.size == n:
+            return log_j, gradients
+        values, full = np.full(n, -np.inf), np.full((n, self.dim), np.nan)
+        values[rows], full[rows] = log_j, gradients
+        return values, full
+
+    def value_and_gradient(self, vector: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+        """The pullback at a raw coordinate vector and its gradient; `values_and_gradients`, n = 1.
+
+        Where the value is -inf (outside the Grassmann domain, where
+        `GrassmannPoint` rejects the frame g needs, or where g is -inf) the
+        gradient is None.
+        """
+        values, gradients = self.values_and_gradients(vector[None])
+        value = float(values[0])
+        return value, None if value == -math.inf else gradients[0]
 
     def gradient(self, vector: np.ndarray) -> np.ndarray:
         """Gradient of the pullback log density at a coordinate vector (`value_and_gradient`).
 
-        Where the value is -inf (outside the Grassmann domain) it raises DomainError.
+        Where the value is -inf (outside the Grassmann domain, say) it raises DomainError.
         """
         value, grad = self.value_and_gradient(vector)
         if grad is None:

@@ -10,7 +10,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -40,6 +40,7 @@ from .sampler import (
     default_proposal,
     init_from_manifold,
     run_chain,
+    run_chains,
 )
 
 __all__ = [
@@ -191,14 +192,11 @@ def run_bingham_experiment(spec: SpikedDataSpec, run: RunConfig,
     rng_init = np.random.Generator(np.random.PCG64(spec.seed + 1))
     haar_init = haar_stiefel(spec.p, spec.k, rng_init)
 
-    chains = []
-    angle_series = []
-    for idx, start in enumerate((mode, haar_init)):
-        batch = run_chain(target, init_from_manifold(start), BINGHAM_PROPOSAL,
-                          replace(run, seed=run.seed + idx))
-        chains.append(batch)
-        angles = np.array([principal_angles(Qd, mode.Q) for Qd in batch.manifold_draws])
-        angle_series.append(angles)
+    # Chain i is seeded run.seed + i; the two advance in lockstep.
+    chains = run_chains(target, np.stack([init_from_manifold(mode), init_from_manifold(haar_init)]),
+                        BINGHAM_PROPOSAL, run)
+    angle_series = [np.array([principal_angles(Qd, mode.Q) for Qd in batch.manifold_draws])
+                    for batch in chains]
 
     bins = 30
     hi = float(np.pi / 2)

@@ -30,7 +30,7 @@ from .cayley import (
     in_grassmann_domain,
 )
 from .errors import ConditioningError
-from .special_matrices import coordinate_pairs, vech_strict
+from .special_matrices import _subdiag_flat, coordinate_pairs
 
 __all__ = [
     "DerivativeMatrix",
@@ -200,17 +200,22 @@ def grassmann_gradient(A: np.ndarray, lam: np.ndarray, V: np.ndarray, p: int,
     D^T vec(G) as a k x k vector-Jacobian product through the spectral map
     Q1 = 2N - I, Q2 = 2AN with N = (I + A^T A)^{-1}: for
     W = 2N(G1 + A^T G2)N it is 2 G2 N - A(W + W^T).
+
+    Every argument may carry one leading stack axis n; the gradients are then
+    (n, d), and each row equals its one-matrix call bit for bit.
     """
-    M = 1.0 + np.outer(lam, lam + 2.0)
-    dF = (-p / (1.0 + lam) + 0.5 * ((lam + 2.0) / M).sum(axis=1)
-          + 0.5 * (lam[:, None] / M).sum(axis=0))
-    grad = A @ ((V * (2.0 * dF)) @ V.T)
+    M = 1.0 + lam[..., :, None] * (lam + 2.0)[..., None, :]
+    dF = (-p / (1.0 + lam) + 0.5 * ((lam + 2.0)[..., None, :] / M).sum(axis=-1)
+          + 0.5 * (lam[..., :, None] / M).sum(axis=-2))
+    Vt = V.swapaxes(-1, -2)
+    grad = A @ ((V * (2.0 * dF)[..., None, :]) @ Vt)
     if G is not None:
-        k = A.shape[1]
-        N = (V / (1.0 + lam)) @ V.T
-        W = 2.0 * N @ (G[:k] + A.T @ G[k:]) @ N
-        grad = grad + 2.0 * G[k:] @ N - A @ (W + W.T)
-    return grad.reshape(-1, order="F")
+        k = A.shape[-1]
+        N = (V / (1.0 + lam)[..., None, :]) @ Vt
+        W = 2.0 * N @ (G[..., :k, :] + A.swapaxes(-1, -2) @ G[..., k:, :]) @ N
+        grad = grad + 2.0 * G[..., k:, :] @ N - A @ (W + W.swapaxes(-1, -2))
+    # vec in column-major order: the rows of the transpose.
+    return grad.swapaxes(-1, -2).reshape(grad.shape[:-2] + (-1,))
 
 
 def stiefel_log_jacobian_constant(dims: ManifoldDims) -> float:
@@ -271,18 +276,24 @@ def stiefel_gradient(A: np.ndarray, P: np.ndarray, p: int,
     D^T vec(G) as an adjoint, with no derivative matrix: the frame is
     Q1 = 2P - I, Q2 = 2AP and dP = -P dS P, so for W = P^T (G1 + A^T G2) P^T
     the term is vech_strict(2(W - W^T)) in b and 2 G2 P^T - 2A(W + W^T) in A.
-    Cost O(pk^2).
+    Cost O(pk^2). Every argument may carry one leading stack axis n; the
+    gradients are then (n, d), and each row equals its one-matrix call bit
+    for bit.
     """
     c = p - 1
-    k = P.shape[0]
+    k = P.shape[-1]
+    Pt = P.swapaxes(-1, -2)
     # U = 2W, and grad_at is the A block transposed, whose rows are vec A's column-major order.
-    U = 0.0 if G is None else 2.0 * (P.T @ (G[:k] + A.T @ G[k:]) @ P.T)
-    M_b = U - c * P
-    M_a = U + c * P
-    grad_at = -(M_a + M_a.T) @ A.T
+    U = 0.0 if G is None else 2.0 * (Pt @ (G[..., :k, :] + A.swapaxes(-1, -2) @ G[..., k:, :]) @ Pt)
+    cP = c * P
+    M_b = U - cP
+    M_a = U + cP
+    grad_at = -(M_a + M_a.swapaxes(-1, -2)) @ A.swapaxes(-1, -2)
     if G is not None:
-        grad_at += 2.0 * (P @ G[k:].T)
-    return np.concatenate([vech_strict(M_b - M_b.T), grad_at.reshape(-1)])
+        grad_at += 2.0 * (P @ G[..., k:, :].swapaxes(-1, -2))
+    lead = P.shape[:-2]
+    skew = (M_b - M_b.swapaxes(-1, -2)).reshape(lead + (k * k,))[..., _subdiag_flat(k)[0]]
+    return np.concatenate([skew, grad_at.reshape(lead + (-1,))], axis=-1)
 
 
 def grad_log_jacobian_stiefel(phi: StiefelCoords) -> np.ndarray:

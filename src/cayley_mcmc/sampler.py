@@ -6,22 +6,34 @@ with the forward Cayley transform. Proposals are isotropic Gaussian random
 walks (optionally with separate scales for the skew-block and A-block
 coordinates) or leapfrog trajectories. Leapfrog uses the target's analytic
 pullback gradient, which exists on both manifolds for the uniform density
-and for any density with a `grad_fn`; each position costs one fused
-`PullbackTarget.value_and_gradient` call, and the chain state carries the
-gradient to the next trajectory.
+and for any density with a `value_and_grad_fn`, and the chain state
+carries the gradient to the next trajectory.
+
+`run_chains` runs n chains from n starting vectors, chain i seeded
+seed + i; `run_chain` is its one-chain case. Leapfrog chains advance in
+lockstep (`_leapfrog_lockstep`): each leapfrog position of all the chains
+still moving is one stacked fused call
+(`PullbackTarget.values_and_gradients`): at k x k sizes numpy's per-call
+overhead dominates, so a row added to a stack costs far less than a call. Each
+chain keeps its own generator, its own dual-averaging step and its own
+trajectory length; a chain whose trajectory has ended, or left the
+domain, sits idle until the others finish theirs. Every stacked row
+equals its one-row call bit for bit, so each chain's draws equal, to the
+byte, the chain run alone, and a single chain is the lockstep of one.
 
 The proposal kind fixes both the step function and the acceptance rate
 that burn-in tunes the scale toward: 0.3 for the random walk, 0.7 for
 leapfrog. The random walk adapts by Robbins-Monro on the accept
 indicator; leapfrog by dual averaging on the acceptance probability, with
-trajectories of a fixed, jittered path length (see `_leapfrog_chain`).
+trajectories of a fixed, jittered path length (see `_leapfrog_chains`).
 The random walk keeps Robbins-Monro because its prefetch needs each
 row's scale before the row is evaluated, which dual averaging's update,
 driven by the row's acceptance probability, cannot give. Randomness comes
 from numpy's PCG64 generator seeded explicitly, so runs are deterministic
 given (seed, config, target).
 
-The random walk prefetches. Its noise does not depend on the chain's
+The random walk prefetches instead; its chains run one after the other. Its
+noise does not depend on the chain's
 state, so from the current state the next LOOKAHEAD proposals on the
 all-reject path are known; one stacked target call (`PullbackTarget.rows`)
 evaluates them, and the steps take the rows in order up to the first
@@ -29,12 +41,12 @@ acceptance. The generator's stream and every draw equal those of one
 `mh_step` per step, which stays the one-step kernel (and the tests'
 oracle). A row's errors surface only if the chain reaches it.
 
-Validation happens at the boundary, once: `run_chain` checks the initial
-vector's shape, and after the chain maps every kept draw in one stacked
-forward map and validates the frames in one pass of every
+Validation happens at the boundary, once: `run_chains` checks the initial
+vectors' shape, and after the chains maps each chain's kept draws in one
+stacked forward map and validates the frames in one pass of every
 `StiefelPoint`/`GrassmannPoint` check. In between, the target evaluates raw
 vectors through the per-shape plan its constructor built; the random-walk
-scale vector is built once per run. `run_chain` also returns deterministic
+scale vector is built once per run. Each chain also returns deterministic
 counters (`RunCounters`): steps, accepts, domain exits and target rows.
 """
 
@@ -58,6 +70,7 @@ __all__ = [
     "mh_step",
     "leapfrog_step",
     "run_chain",
+    "run_chains",
     "init_from_manifold",
 ]
 
@@ -105,7 +118,7 @@ class ChainState:
     `exit_count` counts steps rejected because the target left its domain
     (-inf), `eval_count` target evaluations. Leapfrog also carries the
     position's gradient in `grad` (None until first computed), so that each
-    position costs one fused `value_and_gradient` call, and records in
+    position costs one fused value-and-gradient row, and records in
     `accept_prob` the Metropolis acceptance probability of the step that
     produced the state (0 for a domain exit), which dual averaging reads.
     """
@@ -182,11 +195,9 @@ def leapfrog_step(state: ChainState, target: PullbackTarget, proposal: ProposalC
     """One Hamiltonian proposal of `steps` leapfrog steps (default `proposal.leapfrog_steps`).
 
     Standard leapfrog with unit mass matrix and step size `scale`,
-    Metropolis-corrected on the total energy. Each position costs one
-    `target.value_and_gradient` call; the start's gradient is taken from
-    `state.grad`, or computed (and counted) once if it is None. A target
-    whose density has an `fn` but no `grad_fn` raises ValueError before the
-    first move.
+    Metropolis-corrected on the total energy: the one-chain case of
+    `_leapfrog_lockstep`. A target whose density has an `fn` but no
+    `value_and_grad_fn` raises ValueError before the first move.
     """
     if proposal.kind != "leapfrog":
         raise ValueError("leapfrog_step requires proposal.kind == 'leapfrog'")
@@ -196,36 +207,83 @@ def leapfrog_step(state: ChainState, target: PullbackTarget, proposal: ProposalC
         steps = proposal.leapfrog_steps
     if steps < 1:
         raise ValueError("a trajectory needs at least one leapfrog step")
-    evals = state.eval_count
-    grad0 = state.grad
-    if grad0 is None:
-        grad0 = target.gradient(state.vector)
-        evals += 1
-    x = state.vector
-    mom = rng.standard_normal(x.shape[0])
-    h0 = -state.log_target + 0.5 * mom @ mom
+    return _leapfrog_lockstep([state], target, [rng], [scale], [steps])[0]
 
-    mom = mom + 0.5 * scale * grad0
-    for step in range(steps):
-        x = x + scale * mom
-        lp, grad = target.value_and_gradient(x)
+
+def _leapfrog_lockstep(states: list[ChainState], target: PullbackTarget,
+                       rngs: list[np.random.Generator], scales: list[float],
+                       steps: list[int]) -> list[ChainState]:
+    """One leapfrog proposal for each of n chains, advanced in lockstep.
+
+    Chain i takes steps[i] leapfrog steps of size scales[i] from its state
+    and draws from rngs[i]: its momentum, then (unless it left the domain)
+    its accept variate. The start's gradient is taken from the state's
+    `grad`, or computed (and counted) once if it is None. At each position
+    one stacked `target.values_and_gradients` call evaluates every chain
+    still moving; a chain whose trajectory has ended, or that reached a
+    position where the target is -inf (a domain exit: rejected outright,
+    with acceptance probability 0), sits idle. Each chain's vectors are
+    updated as the chain alone would update them, so each result is the
+    same, to the byte, as a lockstep of one.
+    """
+    evals = [state.eval_count for state in states]
+    grad0 = []
+    for i, state in enumerate(states):
+        grad = state.grad
         if grad is None:
-            # Left the domain mid-trajectory: reject outright.
-            return ChainState(state.vector, state.log_target, state.accept_count,
-                              state.step_count + 1, state.exit_count + 1, evals + step + 1,
-                              grad0, 0.0)
-        mom = mom + (scale if step < steps - 1 else 0.5 * scale) * grad
-    h1 = -lp + 0.5 * mom @ mom
-    # exp(min(0, .)) cannot overflow; a NaN energy (an overflowing momentum) accepts never.
-    accept_prob = float(np.exp(min(0.0, h0 - h1))) if not np.isnan(h1) else 0.0
+            grad = target.gradient(state.vector)
+            evals[i] += 1
+        grad0.append(grad)
+    xs = [state.vector for state in states]
+    h0, moms = [], []
+    for state, rng, scale, grad in zip(states, rngs, scales, grad0):
+        mom = rng.standard_normal(state.vector.shape[0])
+        h0.append(-state.log_target + 0.5 * mom @ mom)
+        moms.append(mom + 0.5 * scale * grad)
+    lps, grads = [0.0] * len(states), list(grad0)
+    exited = [False] * len(states)
+    moving = range(len(states))
+    for step in range(max(steps)):
+        moving = [i for i in moving if step < steps[i] and not exited[i]]
+        if not moving:
+            break
+        # The moving chains' positions, written row by row into one stack.
+        X = np.empty((len(moving), target.dim))
+        for row, i in enumerate(moving):
+            xs[i] = np.add(xs[i], scales[i] * moms[i], out=X[row])
+        values, gradients = target.values_and_gradients(X)
+        for i, value, grad in zip(moving, values.tolist(), gradients):
+            if value == -np.inf:
+                # Left the domain mid-trajectory: reject outright.
+                exited[i] = True
+                evals[i] += step + 1
+                continue
+            lps[i], grads[i] = value, grad
+            # The last step is a half step.
+            moms[i] = moms[i] + (scales[i] if step < steps[i] - 1 else 0.5 * scales[i]) * grad
 
-    log_u = np.log(rng.uniform())
-    evals += steps
-    if h0 - h1 > log_u:
-        return ChainState(x, lp, state.accept_count + 1, state.step_count + 1,
-                          state.exit_count, evals, grad, accept_prob)
-    return ChainState(state.vector, state.log_target, state.accept_count, state.step_count + 1,
-                      state.exit_count, evals, grad0, accept_prob)
+    new_states = []
+    for i, state in enumerate(states):
+        if exited[i]:
+            new_states.append(ChainState(state.vector, state.log_target, state.accept_count,
+                                         state.step_count + 1, state.exit_count + 1, evals[i],
+                                         grad0[i], 0.0))
+            continue
+        mom = moms[i]
+        h1 = -lps[i] + 0.5 * mom @ mom
+        # exp(min(0, .)) cannot overflow; a NaN energy (an overflowing momentum) accepts never.
+        accept_prob = float(np.exp(min(0.0, h0[i] - h1))) if not np.isnan(h1) else 0.0
+        log_u = np.log(rngs[i].uniform())
+        evals[i] += steps[i]
+        if h0[i] - h1 > log_u:
+            new_states.append(ChainState(xs[i], lps[i], state.accept_count + 1,
+                                         state.step_count + 1, state.exit_count, evals[i],
+                                         grads[i], accept_prob))
+        else:
+            new_states.append(ChainState(state.vector, state.log_target, state.accept_count,
+                                         state.step_count + 1, state.exit_count, evals[i],
+                                         grad0[i], accept_prob))
+    return new_states
 
 
 def default_proposal(target: PullbackTarget, kind: str = "random-walk-gaussian",
@@ -307,36 +365,44 @@ class _DualAveraging:
         return float(np.exp(self.log_averaged)) if self.m else self.step
 
 
-def _leapfrog_chain(target, state, proposal, run, rng, coords):
-    """Leapfrog trajectories of a fixed path length; returns (scale, sampling accepts, counters).
+def _leapfrog_chains(target, states, proposal, run, rngs, coords):
+    """Leapfrog chains of a fixed path length, in lockstep; returns (scales, accepts, counters).
 
-    The path is scale * leapfrog_steps of `proposal`. Iteration t draws
-    u ~ U(0.8, 1.2) and takes L_t = max(1, round(path * u / eps_t)) steps,
-    at most MAX_STEPS_FACTOR * leapfrog_steps; the jitter keeps the chain
-    from being periodic. In burn-in eps_t follows dual averaging toward
-    acceptance probability 0.7; afterwards the chain uses the averaged step.
+    The accepts are each chain's sampling-phase accepts.
+
+    The path is scale * leapfrog_steps of `proposal`. At iteration t chain i
+    draws u ~ U(0.8, 1.2) and takes L_t = max(1, round(path * u / eps_t))
+    steps, at most MAX_STEPS_FACTOR * leapfrog_steps; the jitter keeps the
+    chain from being periodic. In burn-in each chain's eps_t follows its own
+    dual averaging toward acceptance probability 0.7; afterwards the chain
+    uses its averaged step. Every chain keeps its own generator, step and
+    L_t, so each is the chain run alone; `_leapfrog_lockstep` advances
+    their trajectories together.
     """
     path = proposal.scale * proposal.leapfrog_steps
     max_steps = MAX_STEPS_FACTOR * proposal.leapfrog_steps
-    adapt = _DualAveraging(proposal.scale)
-    scale = proposal.scale
-    sampling_accepts = 0
+    adapts = [_DualAveraging(proposal.scale) for _ in states]
+    scales = [proposal.scale] * len(states)
+    sampling_accepts = [0] * len(states)
     for t in range(run.iterations):
         if t == run.burn_in:
-            scale = adapt.averaged
-        steps = min(max_steps, max(1, round(path * rng.uniform(0.8, 1.2) / scale)))
-        before = state.accept_count
-        state = leapfrog_step(state, target, proposal, rng, scale=scale, steps=steps)
-        if t < run.burn_in:
-            adapt.update(state.accept_prob)
-            scale = adapt.step
-        else:
-            sampling_accepts += state.accept_count > before
-            if (t - run.burn_in + 1) % run.thin == 0:
-                coords[(t - run.burn_in + 1) // run.thin - 1] = state.vector
-    counters = RunCounters(steps=state.step_count, accepts=state.accept_count,
-                           domain_exits=state.exit_count, target_rows=state.eval_count)
-    return scale, sampling_accepts, counters
+            scales = [adapt.averaged for adapt in adapts]
+        steps = [min(max_steps, max(1, round(path * rng.uniform(0.8, 1.2) / scale)))
+                 for rng, scale in zip(rngs, scales)]
+        before = states
+        states = _leapfrog_lockstep(states, target, rngs, scales, steps)
+        for i, state in enumerate(states):
+            if t < run.burn_in:
+                adapts[i].update(state.accept_prob)
+                scales[i] = adapts[i].step
+            else:
+                sampling_accepts[i] += state.accept_count > before[i].accept_count
+                if (t - run.burn_in + 1) % run.thin == 0:
+                    coords[i, (t - run.burn_in + 1) // run.thin - 1] = state.vector
+    counters = [RunCounters(steps=state.step_count, accepts=state.accept_count,
+                            domain_exits=state.exit_count, target_rows=state.eval_count)
+                for state in states]
+    return scales, sampling_accepts, counters
 
 
 def _random_walk_chain(target, state, proposal, run, rng, coords):
@@ -401,9 +467,12 @@ def _random_walk_chain(target, state, proposal, run, rng, coords):
     return scale, sampling_accepts, counters
 
 
-def run_chain(target: PullbackTarget, init: np.ndarray, proposal: ProposalConfig,
-              run: RunConfig) -> SampleBatch:
-    """Burn-in with scale adaptation, then sampling.
+def run_chains(target: PullbackTarget, inits: np.ndarray, proposal: ProposalConfig,
+               run: RunConfig) -> list[SampleBatch]:
+    """Chains from each row of `inits` (n, d): burn-in with scale adaptation, then sampling.
+
+    Chain i draws from its own PCG64 generator seeded `run.seed + i`, and
+    its batch is the same, to the byte, as that chain run alone.
 
     The random walk adapts by Robbins-Monro: the proposal scale is
     multiplied by exp(c_t (a_t - 0.3)) with c_t ~ t^{-0.6} and a_t the
@@ -413,35 +482,51 @@ def run_chain(target: PullbackTarget, init: np.ndarray, proposal: ProposalConfig
     phase is a genuine Markov chain, and `SampleBatch.final_scale` is the
     frozen value.
 
-    The random walk prefetches: each stacked target call evaluates the
-    next LOOKAHEAD proposals on the all-reject path, with the chain equal
-    to the byte to one `mh_step` per step (see `_random_walk_chain`).
-    Leapfrog runs one `leapfrog_step` per iteration, over trajectories of a
-    fixed jittered path length (see `_leapfrog_chain`). Kept draws are
-    mapped to frames after the chain, in one stacked forward map and one
-    validation pass (`PullbackTarget.frames`); an invalid kept draw raises
-    then.
+    The random-walk chains run one after the other, each prefetching: a
+    stacked target call evaluates its next LOOKAHEAD proposals on the
+    all-reject path, with the chain equal to the byte to one `mh_step` per
+    step (see `_random_walk_chain`). Leapfrog chains run in lockstep, over
+    trajectories of a fixed jittered path length, and each leapfrog
+    position of all the chains still moving is one stacked fused call (see
+    `_leapfrog_chains`). Each chain's kept draws are mapped to frames after
+    the chains, in one stacked forward map and one validation pass
+    (`PullbackTarget.frames`); an invalid kept draw raises then.
     """
+    inits = np.asarray(inits, dtype=float)
+    if inits.ndim != 2 or not inits.shape[0] or inits.shape[1] != target.dim:
+        raise ValueError(f"inits have shape {inits.shape}, expected (n, {target.dim}) with n >= 1")
+    states = []
+    for init in inits:
+        lp0 = target(init)
+        if not np.isfinite(lp0):
+            raise ValueError("initial coordinates have non-finite log target")
+        states.append(ChainState(init, lp0))
+
+    n = len(states)
+    rngs = [np.random.Generator(np.random.PCG64(run.seed + i)) for i in range(n)]
+    n_keep = (run.iterations - run.burn_in) // run.thin
+    coords = np.empty((n, n_keep, target.dim))
+    if proposal.kind == "leapfrog":
+        scales, sampling_accepts, counters = _leapfrog_chains(target, states, proposal, run, rngs,
+                                                              coords)
+    else:
+        scales, sampling_accepts, counters = zip(*(
+            _random_walk_chain(target, state, proposal, run, rng, chain_coords)
+            for state, rng, chain_coords in zip(states, rngs, coords)))
+    frames = [target.frames(chain_coords) for chain_coords in coords]
+    return [SampleBatch(coords_draws=coords[i], manifold_draws=frames[i],
+                        acceptance_rate=sampling_accepts[i] / (run.iterations - run.burn_in),
+                        final_scale=scales[i], counters=counters[i])
+            for i in range(n)]
+
+
+def run_chain(target: PullbackTarget, init: np.ndarray, proposal: ProposalConfig,
+              run: RunConfig) -> SampleBatch:
+    """One chain from `init` (d,), seeded `run.seed`: the one-chain case of `run_chains`."""
     init = np.atleast_1d(np.asarray(init, dtype=float))
     if init.shape != (target.dim,):
         raise ValueError(f"init has shape {init.shape}, expected ({target.dim},)")
-    lp0 = target(init)
-    if not np.isfinite(lp0):
-        raise ValueError("initial coordinates have non-finite log target")
-
-    rng = np.random.Generator(np.random.PCG64(run.seed))
-    chain = _leapfrog_chain if proposal.kind == "leapfrog" else _random_walk_chain
-    n_keep = (run.iterations - run.burn_in) // run.thin
-    coords = np.empty((n_keep, target.dim))
-    scale, sampling_accepts, counters = chain(target, ChainState(init, lp0), proposal, run, rng,
-                                              coords)
-    return SampleBatch(
-        coords_draws=coords,
-        manifold_draws=target.frames(coords),
-        acceptance_rate=sampling_accepts / (run.iterations - run.burn_in),
-        final_scale=scale,
-        counters=counters,
-    )
+    return run_chains(target, init[None], proposal, run)[0]
 
 
 def init_from_manifold(Q) -> np.ndarray:

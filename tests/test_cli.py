@@ -176,6 +176,33 @@ class TestSampleCommand:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == f"input-error: {data}:5: non-finite cell\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--sigma2", "nan", "--lambda", "2,1"], "sigma2 must be positive, got nan"),
+        (["--sigma2", "1.0", "--lambda", "1,2"], "lambda must be strictly decreasing and positive"),
+        (["--sigma2", "1.0", "--lambda", "inf,1"],
+         "lambda must be strictly decreasing and positive"),
+    ])
+    def test_bad_bingham_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        """A rejected flag value exits 2, as in bingham-exp; only the data's checks exit 3."""
+        data = tmp_path / "y.csv"
+        write_matrix_csv(data, np.random.default_rng(3).standard_normal((30, 5)))
+        code = parse_and_dispatch([
+            "sample", "--p", "5", "--k", "2", "--target", "bingham", "--data", str(data),
+            *flags, "--iters", "20", "--seed", "2", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage-error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_bingham_data_of_wrong_width_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "y.csv"
+        write_matrix_csv(data, np.random.default_rng(3).standard_normal((30, 4)))
+        code = parse_and_dispatch([
+            "sample", "--p", "5", "--k", "2", "--target", "bingham", "--data", str(data),
+            "--sigma2", "1.0", "--lambda", "3,1", "--iters", "20", "--seed", "2",
+            "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "input-error: data has 4 columns, expected p=5\n"
+
     def test_grassmann_sampling(self, tmp_path, capsys):
         code = parse_and_dispatch([
             "sample", "--manifold", "grassmann", "--p", "5", "--k", "2",

@@ -146,7 +146,7 @@ class TestPullback:
         A = np.diag([np.sqrt(1.0 - 1e-13), 0.3])
         coords = GrassmannCoords.from_vector(dims, A.reshape(-1, order="F"))
         assert pullback_log_density(uniform_log_density("grassmann"), coords) == -np.inf
-        g = LogDensity(fn=lambda q: float(q.Q[0, 0]), manifold="grassmann")
+        g = LogDensity(fn=lambda Q: Q[:, 0, 0], manifold="grassmann")
         assert pullback_log_density(g, coords) == -np.inf
 
     def test_grassmann_pullback_in_domain(self):
@@ -159,7 +159,7 @@ class TestPullback:
     def test_name_uniform_does_not_drop_fn(self, manifold):
         """The Jacobian-only shortcut keys on an unset fn, not on the name."""
         dims = ManifoldDims(4, 2)
-        g = LogDensity(fn=lambda q: 1e6, manifold=manifold, name="uniform")
+        g = LogDensity(fn=lambda Q: np.full(len(Q), 1e6), manifold=manifold, name="uniform")
         target = PullbackTarget(g, dims)
         jacobian_only = PullbackTarget(uniform_log_density(manifold), dims)
         x = np.zeros(target.dim)
@@ -179,7 +179,7 @@ class TestPullback:
     @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
     def test_nan_coordinate_raises_with_fn(self, manifold):
         """With fn set the forward map runs too; NaN still raises ConditioningError."""
-        target = PullbackTarget(LogDensity(fn=lambda q: float(q.Q[0, 0]), manifold=manifold),
+        target = PullbackTarget(LogDensity(fn=lambda Q: Q[:, 0, 0], manifold=manifold),
                                 ManifoldDims(4, 2))
         x = np.zeros(target.dim)
         x[0] = np.nan
@@ -319,7 +319,7 @@ class TestPullbackTarget:
                                          np.array([2.0, 1.0]))
         bingham = bingham_log_density(params)
         renamed = LogDensity(fn=bingham.fn, manifold="stiefel", name="uniform",
-                             grad_fn=bingham.grad_fn)
+                             value_and_grad_fn=bingham.value_and_grad_fn)
         v = rng.standard_normal(dims.d_v)
         expected = PullbackTarget(bingham, dims).gradient(v)
         assert np.array_equal(PullbackTarget(renamed, dims).gradient(v), expected)
@@ -361,7 +361,7 @@ class TestAdjointGradient:
             oracle = log_j_gradient_complex_step(dims, x)
             if g.fn is not None:
                 coords = StiefelCoords.from_vector(dims, x)
-                G = g.grad_fn(StiefelPoint(dims=dims, Q=cayley_forward_dense(coords)))
+                G = g.value_and_grad_fn(cayley_forward_dense(coords)[None])[1][0]
                 oracle = oracle + derivative_stiefel(coords).matrix.T @ G.reshape(-1, order="F")
             grad = target.gradient(x)
             assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -397,6 +397,131 @@ class TestAdjointGradient:
         assert target(outside) == -np.inf
         with pytest.raises(DomainError):
             target.gradient(outside)
+
+
+class TestStackedKernel:
+    """`values_and_gradients`: every row is its one-row call, and a bad row stays its own."""
+
+    def _target(self, manifold, density, p, k):
+        rng = np.random.default_rng(10 * p + k)
+        params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
+                                         np.linspace(3.0, 1.0, k))
+        g = (uniform_log_density(manifold) if density == "uniform"
+             else bingham_log_density(params, manifold))
+        return PullbackTarget(g, ManifoldDims(p, k))
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
+    def test_every_row_equals_its_one_row_call(self, p, k, manifold, density, n):
+        target = self._target(manifold, density, p, k)
+        rng = np.random.default_rng(n)
+        for size in (0.3, 1.0, 2.5):
+            X = size * rng.standard_normal((n, target.dim)) / np.sqrt(p)
+            values, gradients = target.values_and_gradients(X)
+            assert values.shape == (n,) and gradients.shape == (n, target.dim)
+            for j in range(n):
+                value, gradient = target.value_and_gradient(X[j].copy())
+                assert values[j] == value
+                if gradient is None:
+                    assert value == -np.inf and np.isnan(gradients[j]).all()
+                else:
+                    assert np.array_equal(gradients[j], gradient)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
+    def test_nan_and_ill_conditioned_rows_raise(self, p, k, manifold, density):
+        """A NaN row raises ConditioningError; so does ||A|| = 1e8 on V(k,p), k >= 2.
+
+        At k = 1 the 1 x 1 resolvent 1 + a^2 is perfectly conditioned, and on
+        G(k,p) such a row lies outside the domain, a silent exit.
+        """
+        target = self._target(manifold, density, p, k)
+        X = 0.1 * np.random.default_rng(1).standard_normal((3, target.dim)) / np.sqrt(p)
+        nan = X.copy()
+        nan[1, -1] = np.nan
+        with pytest.raises(ConditioningError):
+            target.values_and_gradients(nan)
+        huge = X.copy()
+        huge[1, target.n_b] = 1e8
+        if manifold == "stiefel" and k >= 2:
+            with pytest.raises(ConditioningError, match="reciprocal condition number"):
+                target.values_and_gradients(huge)
+        else:
+            values, gradients = target.values_and_gradients(huge)
+            assert (values[1] == -np.inf) == (manifold == "grassmann")
+            assert np.isnan(gradients[1]).all() == (manifold == "grassmann")
+
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
+    def test_grassmann_exit_leaves_its_neighbours(self, p, k, density):
+        target = self._target("grassmann", density, p, k)
+        X = 0.3 * np.random.default_rng(2).standard_normal((5, target.dim)) / np.sqrt(p)
+        inside_values, inside_gradients = target.values_and_gradients(X)
+        X[2] *= 10.0 / np.linalg.norm(X[2])
+        values, gradients = target.values_and_gradients(X)
+        assert values[2] == -np.inf and np.isnan(gradients[2]).all()
+        for j in (0, 1, 3, 4):
+            assert values[j] == inside_values[j] > -np.inf
+            assert np.array_equal(gradients[j], inside_gradients[j])
+
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_rows_where_g_is_minus_inf_have_no_gradient(self, manifold):
+        """A density's -inf is an exit of its row, as a domain exit is: NaN gradient row, None."""
+        def fn(Q):
+            return np.where(Q[:, 0, 0] < 0.9, -np.inf, Q[:, 0, 0])
+
+        def value_and_grad_fn(Q):
+            G = np.zeros(Q.shape)
+            G[:, 0, 0] = 1.0
+            return fn(Q), G
+
+        target = PullbackTarget(LogDensity(fn=fn, manifold=manifold,
+                                           value_and_grad_fn=value_and_grad_fn),
+                                ManifoldDims(6, 2))
+        X = 0.05 * np.random.default_rng(4).standard_normal((6, target.dim))
+        X[[1, 4], 0 if manifold == "grassmann" else target.n_b] = 0.5
+        values, gradients = target.values_and_gradients(X)
+        assert [j for j in range(6) if values[j] == -np.inf] == [1, 4]
+        for j in range(6):
+            assert values[j] == target.value_and_gradient(X[j].copy())[0]
+            assert np.isnan(gradients[j]).all() == (j in (1, 4))
+        assert target.value_and_gradient(X[1].copy()) == (-np.inf, None)
+        with pytest.raises(DomainError):
+            target.gradient(X[4].copy())
+
+    def test_grassmann_frame_rejected_leaves_its_neighbours(self, monkeypatch):
+        """A frame GrassmannPoint rejects is an exit of its row only, and g never sees it.
+
+        Inside the domain the predicate already excludes every frame whose top
+        block fails, so the rejection is forced here for the middle row.
+        """
+        import cayley_mcmc.densities as densities
+
+        target = self._target("grassmann", "bingham", 6, 2)
+        X = 0.1 * np.random.default_rng(3).standard_normal((3, target.dim))
+        expected = [target.value_and_gradient(x.copy()) for x in X]
+        assert all(value > -np.inf for value, _ in expected)
+        real = densities.grassmann_frame_exits
+        monkeypatch.setattr(densities, "grassmann_frame_exits",
+                            lambda Q: real(Q) | (np.arange(len(Q)) == 1))
+        seen = []
+        g = target.g
+
+        def value_and_grad_fn(Q):
+            seen.append(Q.copy())
+            return g.value_and_grad_fn(Q)
+
+        target = PullbackTarget(LogDensity(fn=g.fn, manifold="grassmann",
+                                           value_and_grad_fn=value_and_grad_fn), target.dims)
+        values, gradients = target.values_and_gradients(X)
+        assert values[1] == -np.inf and np.isnan(gradients[1]).all()
+        for j in (0, 2):
+            assert values[j] == expected[j][0] and np.array_equal(gradients[j], expected[j][1])
+        assert len(seen) == 1 and np.array_equal(seen[0], target.frames(X[[0, 2]]))
 
 
 class TestEntryMarginal:

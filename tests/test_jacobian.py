@@ -217,8 +217,9 @@ class TestGrassmannGradient:
         """The k x k VJP equals D^T vec(G) with D the dense derivative matrix."""
         psi = near_edge_coords(*pk, lam_max, seed)
         C = np.random.default_rng(seed + 1).standard_normal((psi.dims.p, psi.dims.k))
-        g = LogDensity(fn=lambda point: float(np.sum(C * point.Q)), manifold="grassmann",
-                       grad_fn=lambda point: C)
+        fn = lambda Q: np.sum(C * Q, axis=(-2, -1))
+        g = LogDensity(fn=fn, manifold="grassmann",
+                       value_and_grad_fn=lambda Q: (fn(Q), np.broadcast_to(C, Q.shape)))
         log_j = PullbackTarget(uniform_log_density("grassmann"), psi.dims)
         chain = PullbackTarget(g, psi.dims).gradient(psi.psi) - log_j.gradient(psi.psi)
         oracle = derivative_grassmann(psi).matrix.T @ C.reshape(-1, order="F")

@@ -1,5 +1,7 @@
 """Metropolis-Hastings machinery: configs, steps, chains, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from cayley_mcmc.sampler import (
     mh_step,
     _DualAveraging,
     run_chain,
+    run_chains,
 )
 
 
@@ -91,7 +94,7 @@ class TestSteps:
 
     def test_leapfrog_without_grad_fn_raises_before_moving(self):
         for manifold in ("stiefel", "grassmann"):
-            g = LogDensity(fn=lambda point: float(point.Q[0, 0]), manifold=manifold)
+            g = LogDensity(fn=lambda Q: Q[:, 0, 0], manifold=manifold)
             target = PullbackTarget(g, ManifoldDims(4, 2))
             start = np.full(target.dim, 0.1)
             state = ChainState(start.copy(), target(start))
@@ -382,6 +385,112 @@ class TestLeapfrogAdaptation:
         assert batch.acceptance_rate > 0.2
 
 
+def oracle_leapfrog_chain(target, init, proposal, run):
+    """One leapfrog chain one trajectory at a time, one `value_and_gradient` call per position.
+
+    The sequential algorithm each lockstep chain must reproduce: per
+    iteration the jitter, the momentum and (unless the trajectory left the
+    domain) the accept variate, from the chain's own generator. Returns
+    (coords, acceptance rate, final scale, counters as a tuple).
+    """
+    rng = np.random.Generator(np.random.PCG64(run.seed))
+    x0, lp0, grad0 = init, target(init), target.gradient(init)
+    path = proposal.scale * proposal.leapfrog_steps
+    adapt, scale = _DualAveraging(proposal.scale), proposal.scale
+    steps_taken = accepts = exits = sampling_accepts = 0
+    evals = 1
+    coords = []
+    for t in range(run.iterations):
+        if t == run.burn_in:
+            scale = adapt.averaged
+        steps = min(MAX_STEPS_FACTOR * proposal.leapfrog_steps,
+                    max(1, round(path * rng.uniform(0.8, 1.2) / scale)))
+        mom = rng.standard_normal(x0.shape[0])
+        h0 = -lp0 + 0.5 * mom @ mom
+        mom = mom + 0.5 * scale * grad0
+        x, accept_prob, accepted = x0, 0.0, False
+        for step in range(steps):
+            x = x + scale * mom
+            lp, grad = target.value_and_gradient(x)
+            evals += 1
+            if grad is None:
+                exits += 1
+                break
+            mom = mom + (scale if step < steps - 1 else 0.5 * scale) * grad
+        else:
+            h1 = -lp + 0.5 * mom @ mom
+            accept_prob = float(np.exp(min(0.0, h0 - h1))) if not np.isnan(h1) else 0.0
+            accepted = h0 - h1 > np.log(rng.uniform())
+        steps_taken += 1
+        if accepted:
+            x0, lp0, grad0 = x, lp, grad
+            accepts += 1
+        if t < run.burn_in:
+            adapt.update(accept_prob)
+            scale = adapt.step
+        else:
+            sampling_accepts += accepted
+            if (t - run.burn_in + 1) % run.thin == 0:
+                coords.append(x0)
+    rate = sampling_accepts / (run.iterations - run.burn_in)
+    return np.array(coords), rate, scale, (steps_taken, accepts, exits, evals)
+
+
+class TestLockstepChains:
+    """Chains advanced in lockstep through stacked calls equal each chain run alone."""
+
+    def _assert_lockstep_equals_alone(self, target, inits, proposal, run):
+        batches = run_chains(target, inits, proposal, run)
+        assert len(batches) == len(inits)
+        for i, batch in enumerate(batches):
+            alone = run_chain(target, inits[i], proposal, replace(run, seed=run.seed + i))
+            assert np.array_equal(batch.coords_draws, alone.coords_draws)
+            assert np.array_equal(batch.manifold_draws, alone.manifold_draws)
+            assert batch.acceptance_rate == alone.acceptance_rate
+            assert batch.final_scale == alone.final_scale
+            assert batch.counters == alone.counters
+            coords, rate, scale, counters = oracle_leapfrog_chain(
+                target, inits[i], proposal, replace(run, seed=run.seed + i))
+            assert np.array_equal(batch.coords_draws, coords.reshape(batch.coords_draws.shape))
+            assert (batch.acceptance_rate, batch.final_scale) == (rate, scale)
+            assert (batch.counters.steps, batch.counters.accepts, batch.counters.domain_exits,
+                    batch.counters.target_rows) == counters
+        return batches
+
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    def test_stiefel_pair_with_different_trajectory_lengths(self, density):
+        """The chains adapt their own steps, so their L_t differ and one sits idle at times."""
+        dims = ManifoldDims(8, 3)
+        target = PullbackTarget(make_density("stiefel", density, 8, 3), dims)
+        rng = np.random.default_rng(5)
+        inits = np.stack([np.zeros(target.dim), 0.5 * rng.standard_normal(target.dim)])
+        proposal = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=6)
+        batches = self._assert_lockstep_equals_alone(target, inits, proposal,
+                                                     RunConfig(iterations=120, burn_in=40,
+                                                               thin=2, seed=7))
+        assert batches[0].final_scale != batches[1].final_scale
+        assert batches[0].counters.target_rows != batches[1].counters.target_rows
+
+    def test_grassmann_pair_where_trajectories_leave_the_domain(self):
+        """Near the wall trajectories exit mid-way while the other chain keeps moving."""
+        target = uniform_target(20, 4, "grassmann")
+        near_wall = np.zeros(target.dim)
+        near_wall[0] = 0.97
+        inits = np.stack([np.zeros(target.dim), near_wall])
+        proposal = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=10)
+        batches = self._assert_lockstep_equals_alone(target, inits, proposal,
+                                                     RunConfig(iterations=60, burn_in=20, seed=3))
+        exits = [batch.counters.domain_exits for batch in batches]
+        assert max(exits) > 0 and exits[0] != exits[1]
+
+    def test_rejects_bad_inits(self):
+        target = uniform_target()
+        proposal = ProposalConfig(kind="leapfrog")
+        for inits in (np.zeros(target.dim), np.zeros((0, target.dim)), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="inits have shape"):
+                run_chains(target, inits, proposal, RunConfig(iterations=10, seed=0))
+
+
 class TestPrefetchErrors:
     """Errors of prefetched rows surface only where the one-step chain would see them."""
 
@@ -389,7 +498,7 @@ class TestPrefetchErrors:
     @pytest.mark.parametrize("with_fn", [False, True])
     @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
     def test_nan_row_raises_only_when_used(self, manifold, with_fn):
-        g = (LogDensity(fn=lambda point: float(point.Q[0, 0]), manifold=manifold) if with_fn
+        g = (LogDensity(fn=lambda Q: Q[:, 0, 0], manifold=manifold) if with_fn
              else uniform_log_density(manifold))
         target = PullbackTarget(g, ManifoldDims(6, 2))
         X = 0.1 * np.random.default_rng(0).standard_normal((3, target.dim))
@@ -419,9 +528,9 @@ class TestPrefetchErrors:
         def density():
             calls = []
 
-            def fn(point):
+            def fn(Q):
                 calls.append(1)
-                return np.nan if len(calls) == 150 else float(point.Q[0, 0])
+                return np.full(len(Q), np.nan) if len(calls) == 150 else Q[:, 0, 0]
 
             return LogDensity(fn=fn, manifold=manifold), calls
 

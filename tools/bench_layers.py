@@ -1,8 +1,8 @@
 """Per-layer timings of cayley_mcmc, written as one column of a BENCH json file.
 
 Each layer in LAYERS is timed at (p, k) in {(2, 1), (50, 3), (200, 5)} on
-both manifolds, as the median microseconds per call; `leapfrog_iteration`
-only on the Bingham study's V(3,50).
+both manifolds, as the median microseconds per call; `values_and_gradients`
+and `leapfrog_iteration` only on the Bingham study's V(3,50).
 
 Run it for each tree, in one session on one machine, into the same file,
 alternating the trees a few times:
@@ -47,6 +47,9 @@ LAYERS = {
     "gradient": "the pullback gradient of the uniform and of the Bingham target",
     "value_and_gradient": "the fused pullback value and gradient of the uniform and of the "
                           "Bingham target",
+    "values_and_gradients": "PullbackTarget.values_and_gradients, the stacked fused value and "
+                            "gradient, on a stack of M = 1, 2 or 8 vectors of the uniform and "
+                            "of the Bingham target at V(3,50); per call, not per row",
     "leapfrog_iteration": "one leapfrog iteration of the Bingham study (n=100, p=50, k=3, "
                           "data seed 1) from its mode, at the step burn-in adapted and the "
                           "proposal's path scale * leapfrog_steps: a run_chain of "
@@ -58,6 +61,8 @@ BUDGET_S = 0.15  # time spent per measurement, after MIN_CALLS
 MIN_CALLS = 7
 CHAIN_STEPS = 3000
 STACKS = (1, 8)
+FUSED_STACKS = (1, 2, 8)
+FUSED_SHAPE = ("stiefel", 50, 3)
 LEAPFROG_BURN_IN = 50
 LEAPFROG_ITERATIONS = 20
 
@@ -174,6 +179,16 @@ def measure() -> dict:
                 for m in STACKS:
                     X = np.stack([point_in_domain(np, rng, manifold, p, k) for _ in range(m)])
                     row[f"rows.m{m}.uniform"] = median_us(all_rows, uniform, X)
+            if hasattr(uniform, "values_and_gradients") and (manifold, p, k) == FUSED_SHAPE:
+                # Its own generator, so that the points of every other layer match the parent's.
+                fused_rng = np.random.default_rng(1)
+                for m in FUSED_STACKS:
+                    X = np.stack([point_in_domain(np, fused_rng, manifold, p, k)
+                                  for _ in range(m)])
+                    row[f"values_and_gradients.m{m}.uniform"] = median_us(
+                        uniform.values_and_gradients, X)
+                    row[f"values_and_gradients.m{m}.bingham"] = median_us(
+                        bingham.values_and_gradients, X)
             for layer, us in row.items():
                 layers[f"{layer}.{manifold}.p{p}k{k}"] = round(us, 2)
     layers["leapfrog_iteration.bingham.stiefel.p50k3"] = round(leapfrog_iteration_us(np), 2)
