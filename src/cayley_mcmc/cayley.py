@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError
-from .special_matrices import skew_from_vech, unvec, vec, vech_strict
+from .special_matrices import _identity, skew_from_vech, unvec, vec, vech_strict
 
 __all__ = [
     "ManifoldDims",
@@ -140,7 +140,7 @@ def _frame_checks(Q: np.ndarray, grassmann: bool):
     """Per frame, what `check_frames` tests: max |Q^T Q - I| and, on G(k,p), max |Q1 - Q1^T|
     and the smallest eigenvalue of the top block Q1 (None on V(k,p))."""
     k = Q.shape[-1]
-    ortho = _max_abs(Q.swapaxes(-1, -2) @ Q - np.eye(k))
+    ortho = _max_abs(Q.swapaxes(-1, -2) @ Q - _identity(k))
     if not grassmann:
         return ortho, None, None
     Q1 = Q[:, :k]
@@ -166,6 +166,14 @@ def check_frames(Q: np.ndarray, grassmann: bool = False) -> None:
     that fails raises the error its point constructor raises, for the first
     check it fails in that order.
     """
+    if not grassmann:
+        # Every frame passes when the stack's largest |Q^T Q - I| entry does; NaN fails this
+        # test, and then the per-frame pass below decides.
+        M = Q.swapaxes(-1, -2) @ Q
+        M -= _identity(Q.shape[-1])
+        # The ufunc's own reduce: ndarray.max adds a Python-level wrapper to every call.
+        if np.maximum.reduce(np.abs(M, out=M), axis=None, initial=0.0) <= ORTHO_TOL:
+            return
     ortho, sym, lam_min = _frame_checks(Q, grassmann)
     failing = ortho > ORTHO_TOL
     if grassmann:
@@ -256,6 +264,10 @@ def guard_resolvent(S: np.ndarray, context: str) -> np.ndarray:
     order, and the first that fails raises.
     """
     k = S.shape[-1]
+    # The bound grows with max|S_ij|, so the stack's largest entry decides for every matrix
+    # at once; NaN propagates through the max and fails the comparison.
+    if k * float(np.maximum.reduce(np.abs(S), axis=None, initial=0.0)) * RCOND_CUTOFF <= 1.0:
+        return S
     # A NaN bound fails the comparison too, and then require_finite raises.
     bounded = k * np.abs(S).max(axis=(-2, -1)) * RCOND_CUTOFF <= 1.0
     if not bounded.all():
@@ -339,11 +351,12 @@ def grassmann_spectra(A: np.ndarray, vectors: bool = False):
     never sees it. `grassmann_spectrum` is the checked one-matrix case.
     """
     AtA = A.swapaxes(-1, -2) @ A
-    n, k = AtA.shape[:2]
-    # Per matrix, the finiteness test of `require_finite`: the sum of the entries.
-    sums = np.add.reduce(AtA.reshape(n, k * k), axis=-1)
-    finite = None if math.isfinite(np.add.reduce(sums)) else np.isfinite(sums)
-    if finite is not None:
+    finite = None
+    # A finite sum of the whole stack clears every matrix at once. Otherwise each matrix takes
+    # the finiteness test of `require_finite`, the sum of its entries (one may overflow alone).
+    if not math.isfinite(AtA.sum()):
+        n, k = AtA.shape[:2]
+        finite = np.isfinite(np.add.reduce(AtA.reshape(n, k * k), axis=-1))
         AtA = np.where(finite[:, None, None], AtA, 0.0)
     lam, V = np.linalg.eigh(AtA) if vectors else (np.linalg.eigvalsh(AtA), None)
     if finite is not None:
@@ -386,8 +399,9 @@ def grassmann_frame(A: np.ndarray, lam: np.ndarray, V: np.ndarray) -> np.ndarray
     exactly symmetric, and Q2 = 2 A V diag(1/(1 + lam)) V^T. The arguments
     may be stacks with one leading axis; so is the frame then.
     """
-    X = V * np.sqrt((1.0 - lam) / (1.0 + lam))[..., None, :]
-    Q2 = A @ ((V * (2.0 / (1.0 + lam))[..., None, :]) @ V.swapaxes(-1, -2))
+    lam1 = 1.0 + lam
+    X = V * np.sqrt((1.0 - lam) / lam1)[..., None, :]
+    Q2 = A @ ((V * (2.0 / lam1)[..., None, :]) @ V.swapaxes(-1, -2))
     return np.concatenate([X @ X.swapaxes(-1, -2), Q2], axis=-2)
 
 

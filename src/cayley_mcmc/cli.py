@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -362,7 +363,13 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of `COMMANDS`, built once per process.
+
+    It holds only the flags' names, types and choices; `parse_and_dispatch`
+    looks each handler up in `COMMANDS` at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="cayley-mcmc",
         description="Euclidean-coordinate MCMC on orthogonal-frame manifolds.",

@@ -40,7 +40,7 @@ from .jacobian import (
     stiefel_log_jacobian,
     stiefel_log_jacobian_constant,
 )
-from .special_matrices import _subdiag_flat, skew_at
+from .special_matrices import _identity, _skew_gather, skew_at
 
 __all__ = [
     "LogDensity",
@@ -147,9 +147,12 @@ class BinghamParams:
 def bingham_log_density(params: BinghamParams, manifold: str = "stiefel") -> LogDensity:
     """Matrix Bingham log density trace(M Q^T S Q), and its gradient 2 S Q M, on stacks of frames.
 
-    The value and the gradient of a stack come from one stacked product S Q.
+    The value and the gradient of a stack come from one stacked product S Q;
+    the gradient is S Q (2M), with 2M formed once, which equals 2 S Q M bit
+    for bit.
     """
     shape = (params.S.shape[0], params.k)
+    two_m = 2.0 * params.m_diag
 
     def value_and_sq(Q: np.ndarray):
         if Q.shape[-2:] != shape:
@@ -166,7 +169,7 @@ def bingham_log_density(params: BinghamParams, manifold: str = "stiefel") -> Log
     def value_and_grad_fn(Q: np.ndarray):
         # d/dQ trace(M Q^T S Q) = 2 S Q M for symmetric S, diagonal M.
         values, SQ = value_and_sq(Q)
-        return values, 2.0 * SQ * params.m_diag
+        return values, SQ * two_m
 
     return LogDensity(fn=fn, manifold=manifold, name="bingham",
                       value_and_grad_fn=value_and_grad_fn)
@@ -208,16 +211,16 @@ class PullbackTarget:
 
     The constructor builds the plan for one shape: the manifold, the
     coordinate count, the split of a vector into the skew block b and the
-    (p-k) x k matrix A, the cached skew index positions, I_k and the
-    log-Jacobian constant. `rows` evaluates the pullback at a stack of raw
-    vectors through stacked k x k kernels, with no coordinate object and no
-    shape check: callers validate a vector's shape once, at the boundary
-    (`run_chains` checks the initial states). A call is its one-row case, and
-    the typed routes (`pullback_log_density`, `log_jacobian_stiefel`, ...)
-    are boundaries over the same kernels. `values_and_gradients` is the one
-    fused value-and-gradient kernel, on a stack of vectors, with g evaluated
-    on the stack of their validated frames; `value_and_gradient` and
-    `gradient` are its one-row case. `coords`, `point` and `frames` map
+    (p-k) x k matrix A, the gather that forms B from b and I_k (both cached
+    per k and read-only) and the log-Jacobian constant. `rows` evaluates the
+    pullback at a stack of raw vectors through stacked k x k kernels, with
+    no coordinate object and no shape check: callers validate a vector's
+    shape once, at the boundary (`run_chains` checks the initial states). A
+    call is its one-row case, and the typed routes (`pullback_log_density`,
+    `log_jacobian_stiefel`, ...) are boundaries over the same kernels.
+    `values_and_gradients` is the one fused value-and-gradient kernel, on a
+    stack of vectors, with g evaluated on the stack of their validated
+    frames; `value_and_gradient` and `gradient` are its one-row case. `coords`, `point` and `frames` map
     vectors to typed coordinates and validated frames.
     """
 
@@ -227,8 +230,8 @@ class PullbackTarget:
         self._stiefel = g.manifold == "stiefel"
         self.dim = dims.d_v if self._stiefel else dims.d_g
         self.n_b = dims.n_b if self._stiefel else 0
-        self._skew_positions = _subdiag_flat(dims.k)
-        self._eye = np.eye(dims.k)
+        self._skew_gather = _skew_gather(dims.k)
+        self._eye = _identity(dims.k)
         self._log_j_constant = stiefel_log_jacobian_constant(dims)
 
     def coords(self, vector: np.ndarray) -> Coords:
@@ -244,7 +247,7 @@ class PullbackTarget:
     def _stiefel_blocks(self, X: np.ndarray):
         """A, A^T A and B of each Stiefel coordinate vector of a stack X (n, d)."""
         A = self._a_stack(X)
-        B = skew_at(X[:, :self.n_b], self.dims.k, self._skew_positions)
+        B = skew_at(X, self.dims.k, self._skew_gather)
         return A, A.swapaxes(1, 2) @ A, B
 
     def _frames(self, X: np.ndarray) -> np.ndarray:
@@ -379,10 +382,14 @@ class PullbackTarget:
         log_j, oriented = stiefel_log_jacobian(S, p, self._log_j_constant)
         if not oriented.all():
             require_oriented(False)
-        P = np.linalg.solve(guard_resolvent(S, "PullbackTarget.value_and_gradient"), self._eye)
+        # inv runs the LAPACK gesv on I that solve(S, I) runs.
+        P = np.linalg.inv(guard_resolvent(S, "PullbackTarget.value_and_gradient"))
         if g.fn is None:
             return log_j, stiefel_gradient(A, P, p)
-        Q = np.concatenate([2.0 * P - self._eye, 2.0 * A @ P], axis=-2)
+        # Q1 = 2P - I, Q2 = 2AP: scaling by 2 is exact, so the order of the factors does not matter.
+        Q = np.concatenate([P, A @ P], axis=-2)
+        Q *= 2.0
+        Q[:, :self.dims.k] -= self._eye
         check_frames(Q)
         g_values, G = g.value_and_grad_fn(Q)
         return g_values + log_j, stiefel_gradient(A, P, p, G)
@@ -391,22 +398,27 @@ class PullbackTarget:
         g, n = self.g, X.shape[0]
         A = self._a_stack(X)
         lam, V = grassmann_spectra(A, vectors=True)
-        if math.isnan(lam[:, 0].sum()):
-            raise ConditioningError("PullbackTarget.value_and_gradient: non-finite coordinates")
         # Exits are dropped from X, so each kept A is the same view of its vector as in a
-        # one-row call, and every stacked product rounds as it does there.
-        rows = np.arange(n)
+        # one-row call, and every stacked product rounds as it does there. `rows` lists the
+        # kept rows once one is dropped; None means all of them.
+        rows = None
         inside = in_grassmann_domain(lam[:, -1])
         if not inside.all():
-            rows, X, lam, V = rows[inside], X[inside], lam[inside], V[inside]
+            # A non-finite row has NaN eigenvalues, which lie outside.
+            if math.isnan(lam[:, 0].sum()):
+                raise ConditioningError(
+                    "PullbackTarget.value_and_gradient: non-finite coordinates")
+            rows = np.flatnonzero(inside)
+            X, lam, V = X[rows], lam[rows], V[rows]
             A = self._a_stack(X)
         if g.fn is not None:
             Q = grassmann_frame(A, lam, V)
             kept = ~grassmann_frame_exits(Q)
             if not kept.all():
-                rows, X, lam, V, Q = rows[kept], X[kept], lam[kept], V[kept], Q[kept]
+                rows = np.arange(n)[kept] if rows is None else rows[kept]
+                X, lam, V, Q = X[kept], lam[kept], V[kept], Q[kept]
                 A = self._a_stack(X)
-        if not rows.size:
+        if rows is not None and not rows.size:
             return np.full(n, -np.inf), np.full((n, self.dim), np.nan)
         log_j = _log_jacobian_lowrank(lam, self.dims.p, self.dims.k)
         G = None
@@ -414,7 +426,7 @@ class PullbackTarget:
             g_values, G = g.value_and_grad_fn(Q)
             log_j = g_values + log_j
         gradients = grassmann_gradient(A, lam, V, self.dims.p, G)
-        if rows.size == n:
+        if rows is None:
             return log_j, gradients
         values, full = np.full(n, -np.inf), np.full((n, self.dim), np.nan)
         values[rows], full[rows] = log_j, gradients

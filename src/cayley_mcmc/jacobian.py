@@ -204,16 +204,18 @@ def grassmann_gradient(A: np.ndarray, lam: np.ndarray, V: np.ndarray, p: int,
     Every argument may carry one leading stack axis n; the gradients are then
     (n, d), and each row equals its one-matrix call bit for bit.
     """
-    M = 1.0 + lam[..., :, None] * (lam + 2.0)[..., None, :]
-    dF = (-p / (1.0 + lam) + 0.5 * ((lam + 2.0)[..., None, :] / M).sum(axis=-1)
-          + 0.5 * (lam[..., :, None] / M).sum(axis=-2))
+    lam1, lam2 = 1.0 + lam, (lam + 2.0)[..., None, :]
+    M = 1.0 + lam[..., :, None] * lam2
+    # 2 F'(lam): doubling each term is exact, so the factors 1/2 and 2 cancel unrounded.
+    dF2 = (-2 * p / lam1 + (lam2 / M).sum(axis=-1) + (lam[..., :, None] / M).sum(axis=-2))
     Vt = V.swapaxes(-1, -2)
-    grad = A @ ((V * (2.0 * dF)[..., None, :]) @ Vt)
+    grad = A @ ((V * dF2[..., None, :]) @ Vt)
     if G is not None:
         k = A.shape[-1]
-        N = (V / (1.0 + lam)[..., None, :]) @ Vt
-        W = 2.0 * N @ (G[..., :k, :] + A.swapaxes(-1, -2) @ G[..., k:, :]) @ N
-        grad = grad + 2.0 * G[..., k:, :] @ N - A @ (W + W.swapaxes(-1, -2))
+        N = (V / lam1[..., None, :]) @ Vt
+        N2 = 2.0 * N  # (2 G2) N = G2 (2N) exactly
+        W = N2 @ (G[..., :k, :] + A.swapaxes(-1, -2) @ G[..., k:, :]) @ N
+        grad = grad + G[..., k:, :] @ N2 - A @ (W + W.swapaxes(-1, -2))
     # vec in column-major order: the rows of the transpose.
     return grad.swapaxes(-1, -2).reshape(grad.shape[:-2] + (-1,))
 
@@ -282,15 +284,22 @@ def stiefel_gradient(A: np.ndarray, P: np.ndarray, p: int,
     """
     c = p - 1
     k = P.shape[-1]
-    Pt = P.swapaxes(-1, -2)
-    # U = 2W, and grad_at is the A block transposed, whose rows are vec A's column-major order.
-    U = 0.0 if G is None else 2.0 * (Pt @ (G[..., :k, :] + A.swapaxes(-1, -2) @ G[..., k:, :]) @ Pt)
     cP = c * P
+    At = A.swapaxes(-1, -2)
+    if G is None:
+        U = 0.0
+    else:
+        # U = 2W and 2 P G2^T: a factor 2 on P scales each product exactly.
+        P2 = 2.0 * P
+        U = P.swapaxes(-1, -2) @ (G[..., :k, :] + At @ G[..., k:, :]) @ P2.swapaxes(-1, -2)
     M_b = U - cP
     M_a = U + cP
-    grad_at = -(M_a + M_a.swapaxes(-1, -2)) @ A.swapaxes(-1, -2)
-    if G is not None:
-        grad_at += 2.0 * (P @ G[..., k:, :].swapaxes(-1, -2))
+    # grad_at is the A block transposed, whose rows are vec A's column-major order.
+    grad_at = (M_a + M_a.swapaxes(-1, -2)) @ At
+    if G is None:
+        grad_at = -grad_at
+    else:
+        grad_at = P2 @ G[..., k:, :].swapaxes(-1, -2) - grad_at
     lead = P.shape[:-2]
     skew = (M_b - M_b.swapaxes(-1, -2)).reshape(lead + (k * k,))[..., _subdiag_flat(k)[0]]
     return np.concatenate([skew, grad_at.reshape(lead + (-1,))], axis=-1)

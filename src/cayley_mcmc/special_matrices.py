@@ -141,6 +141,12 @@ def _subdiag_flat(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(r * n + c), _frozen(c * n + r)
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """I_n, read-only: the one identity of each size that the per-call kernels share."""
+    return _frozen(np.eye(n))
+
+
 def vech_strict(M: np.ndarray) -> np.ndarray:
     """Strictly subdiagonal entries of a square matrix, column-major order."""
     M = np.asarray(M)
@@ -155,19 +161,37 @@ def skew_from_vech(b: np.ndarray, n: int) -> np.ndarray:
     expected = n * (n - 1) // 2
     if b.shape != (expected,):
         raise ValueError(f"expected vector of length {expected} for n={n}, got shape {b.shape}")
-    return skew_at(b, n, _subdiag_flat(n))
+    return skew_at(b, n, _skew_gather(n)) if expected else np.zeros((n, n))
 
 
-def skew_at(b: np.ndarray, n: int, positions: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """`skew_from_vech` without the checks, for `positions` = `_subdiag_flat(n)`.
+@lru_cache(maxsize=None)
+def _skew_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What `skew_at` reads for each row-major entry of an n x n matrix.
 
-    `b` may carry leading stack axes; so does the result then.
+    The position in b it takes (0 on the diagonal), whether it lies off the
+    diagonal, and whether it lies above it (where B holds -b).
     """
-    lower, upper = positions
-    B = np.zeros(b.shape[:-1] + (n * n,))
-    B[..., lower] = b
-    B[..., upper] = -b
-    return B.reshape(b.shape[:-1] + (n, n))
+    lower, upper = _subdiag_flat(n)
+    position = np.zeros(n * n, dtype=np.intp)
+    position[lower] = position[upper] = np.arange(lower.shape[0])
+    off, above = np.zeros(n * n, dtype=bool), np.zeros(n * n, dtype=bool)
+    off[lower] = off[upper] = above[upper] = True
+    return _frozen(position), _frozen(off), _frozen(above)
+
+
+def skew_at(x: np.ndarray, n: int, gather: tuple[np.ndarray, ...]) -> np.ndarray:
+    """`skew_from_vech`, unchecked, of the b that leads the last axis of x.
+
+    `gather` is `_skew_gather(n)`. The last axis needs at least one entry;
+    past b's n(n-1)/2 it is not read. `x` may carry leading stack axes; so
+    does the result then. B is one gather and a negation in place, so each
+    entry is b_l, -b_l or +0, bit for bit those of a zero matrix with b and
+    -b written into it.
+    """
+    position, off, above = gather
+    B = np.where(off, x.take(position, axis=-1), 0.0)
+    np.negative(B, out=B, where=above)
+    return B.reshape(x.shape[:-1] + (n, n))
 
 
 def _check_pk(p: int, k: int):

@@ -1,7 +1,11 @@
 """Command-line behavior: parsing, config merge, file formats, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,3 +298,50 @@ class TestDeterminism:
         assert parse_and_dispatch(argv) == EXIT_OK
         second = {f.name: f.read_bytes() for f in out.iterdir()}
         assert first == second
+
+
+class TestParserReuse:
+    """The argparse tree is built once per process; a later call parses as a fresh process does."""
+
+    SEQUENCES = {
+        "flagged sample, then defaults": [
+            ["sample", "--p", "5", "--k", "2", "--iters", "60", "--burn", "20", "--thin", "2",
+             "--scale", "0.3", "--seed", "3", "--out", "{out}/a"],
+            ["sample", "--p", "5", "--k", "2", "--iters", "60", "--seed", "3", "--out", "{out}/b"],
+        ],
+        "usage error, then a good call": [
+            ["sample", "--p", "5", "--k", "2", "--proposal", "bogus", "--iters", "60",
+             "--seed", "3", "--out", "{out}/c"],
+            ["roundtrip-check", "--p", "6", "--k", "2", "--instances", "5"],
+        ],
+    }
+
+    @staticmethod
+    def _outcome(code, out, err, out_dir):
+        files = {str(f.relative_to(out_dir)): f.read_bytes()
+                 for f in sorted(out_dir.rglob("*")) if f.is_file()}
+        return code, out, err, files
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_consecutive_calls_match_fresh_processes(self, name, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        calls = [[arg.format(out=out_dir) for arg in argv] for argv in self.SEQUENCES[name]]
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "cayley_mcmc.cli", *argv],
+                                  capture_output=True, text=True, cwd=tmp_path,
+                                  env={**os.environ, "PYTHONPATH": src})
+            out_dir.mkdir(exist_ok=True)
+            fresh.append(self._outcome(proc.returncode, proc.stdout, proc.stderr, out_dir))
+        for f in sorted(out_dir.rglob("*"), reverse=True):
+            f.unlink() if f.is_file() else f.rmdir()
+        capsys.readouterr()
+        cli._build_parser()  # built before the sequence, as by any earlier call
+        for argv, expected in zip(calls, fresh):
+            code = parse_and_dispatch(argv)
+            captured = capsys.readouterr()
+            assert self._outcome(code, captured.out, captured.err, out_dir) == expected
+        assert cli._build_parser() is cli._build_parser()
+        assert [outcome[0] for outcome in fresh] == (
+            [EXIT_OK, EXIT_OK] if name.startswith("flagged") else [EXIT_USAGE, EXIT_OK])

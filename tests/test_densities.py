@@ -1,5 +1,7 @@
 """Target densities, coordinate pullbacks, and the exact entry marginal."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -522,6 +524,168 @@ class TestStackedKernel:
         for j in (0, 2):
             assert values[j] == expected[j][0] and np.array_equal(gradients[j], expected[j][1])
         assert len(seen) == 1 and np.array_equal(seen[0], target.frames(X[[0, 2]]))
+
+
+def same_bits(a, b) -> bool:
+    """a and b have the same shape and the same bytes: signed zeros and NaN payloads count."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def raised(fn):
+    """fn()'s result, or the type and message of the ConditioningError, DomainError or ValueError
+    it raised."""
+    try:
+        return fn()
+    except (ConditioningError, DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def earlier_stiefel_kernel(params, X, p, k):
+    """The fused V(k,p) kernel in its earlier arithmetic, the oracle of the exact rewrites.
+
+    S = I + A^T A - B with B scattered from b, P = solve(S, I), the frame
+    [2P - I; (2A)P], g's gradient 2 S Q M (params None: the uniform target)
+    and the adjoint gradient with M_b = U - cP, -(M_a + M_a^T) A^T and the
+    skew block picked from M_b - M_b^T. Returns (frames, values, gradients).
+    """
+    n, n_b, eye = X.shape[0], k * (k - 1) // 2, np.eye(k)
+    A = X[:, n_b:].reshape(n, k, p - k).swapaxes(1, 2)
+    rows, cols = np.tril_indices(k, -1)
+    order = np.lexsort((rows, cols))  # column-major strict lower triangle
+    rows, cols = rows[order], cols[order]
+    B = np.zeros((n, k, k))
+    B[:, rows, cols] = X[:, :n_b]
+    B[:, cols, rows] = -X[:, :n_b]
+    S = eye + A.swapaxes(1, 2) @ A - B
+    values = ((p * k - k * (k + 1) // 2 + k * (k - 1) / 4.0) * np.log(2.0)
+              - (p - 1) * np.linalg.slogdet(S)[1])
+    P = np.linalg.solve(S, eye)
+    Q = np.concatenate([2.0 * P - eye, 2.0 * A @ P], axis=-2)
+    U = 0.0
+    if params is not None:
+        SQ = params.S @ Q
+        values = (params.m_diag * np.einsum("...ij,...ij->...j", Q, SQ)).sum(axis=-1) + values
+        G = 2.0 * SQ * params.m_diag
+        Pt = P.swapaxes(-1, -2)
+        U = 2.0 * (Pt @ (G[:, :k] + A.swapaxes(-1, -2) @ G[:, k:]) @ Pt)
+    cP = (p - 1) * P
+    M_b, M_a = U - cP, U + cP
+    grad_at = -(M_a + M_a.swapaxes(-1, -2)) @ A.swapaxes(-1, -2)
+    if params is not None:
+        grad_at += 2.0 * (P @ G[:, k:].swapaxes(-1, -2))
+    skew = (M_b - M_b.swapaxes(-1, -2))[:, rows, cols]
+    return Q, values, np.concatenate([skew, grad_at.reshape(n, -1)], axis=-1)
+
+
+class TestExactRewrites:
+    """The per-shape plan's constants, and kernels that keep the earlier arithmetic's bits."""
+
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_plan_constants_are_read_only(self, manifold):
+        from cayley_mcmc.special_matrices import _identity
+
+        target = PullbackTarget(uniform_log_density(manifold), ManifoldDims(7, 3))
+        for constant in (*target._skew_gather, target._eye, _identity(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                constant[...] = 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_gathered_skew_block_equals_the_scattered_one(self, k):
+        """B, gathered from b and negated in place, has the bits of b and -b written into a zero
+        matrix: signed zeros, NaN of either sign, infinities and subnormals included."""
+        target = PullbackTarget(uniform_log_density(), ManifoldDims(k + 4, k))
+        X = np.random.default_rng(k).standard_normal((8, target.dim))
+        if target.n_b:
+            X[:, 0] = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1e300]
+        B = target._stiefel_blocks(X)[2]
+        rows, cols = np.tril_indices(k, -1)
+        order = np.lexsort((rows, cols))  # column-major strict lower triangle
+        rows, cols = rows[order], cols[order]
+        for j in range(8):
+            expected = np.zeros((k, k))
+            expected[rows, cols] = X[j, :target.n_b]
+            expected[cols, rows] = -X[j, :target.n_b]
+            assert same_bits(B[j], expected)
+            assert same_bits(skew_from_vech(X[j, :target.n_b], k), expected)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
+    def test_fused_stiefel_kernel_keeps_the_earlier_arithmetic(self, p, k, density, n):
+        """inv for solve, 2[P; AP] - I for [2P - I; 2AP], S Q (2M) for 2 S Q M, the in-place
+        doubling of U, 2 P G2^T - (M_a + M_a^T) A^T and the +-1 product for the skew block."""
+        rng = np.random.default_rng(p * k + n)
+        params = None if density == "uniform" else BinghamParams.from_data(
+            rng.standard_normal((3 * p, p)), 1.0, np.linspace(3.0, 1.0, k))
+        frames = []
+        if params is None:
+            g = uniform_log_density()
+        else:
+            bingham = bingham_log_density(params)
+
+            def value_and_grad_fn(Q):
+                frames.append(Q.copy())
+                return bingham.value_and_grad_fn(Q)
+
+            g = LogDensity(fn=bingham.fn, manifold="stiefel", value_and_grad_fn=value_and_grad_fn)
+        target = PullbackTarget(g, ManifoldDims(p, k))
+        for size in (0.05, 0.5, 3.0):
+            X = size * rng.standard_normal((n, target.dim)) / np.sqrt(p)
+            frames.clear()
+            values, gradients = target.values_and_gradients(X)
+            Q, expected_values, expected = earlier_stiefel_kernel(params, X, p, k)
+            assert same_bits(values, expected_values) and same_bits(gradients, expected)
+            assert len(frames) == (params is not None)
+            assert not frames or same_bits(frames[0], Q)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("density", ["uniform", "bingham", "fn"])
+    def test_non_finite_or_huge_skew_entry(self, density, bad):
+        """A non-finite b_l reaches only its own two entries of B, and the row fails as it did
+        with B scattered from b: the same value or exception class and message through
+        `target(x)`, `rows(X)(j)` and `values_and_gradients`. Rows that `rows` never
+        reaches do not raise."""
+        dims = ManifoldDims(6, 3)
+        params = BinghamParams.from_data(np.random.default_rng(0).standard_normal((20, 6)), 1.0,
+                                         np.array([3.0, 2.0, 1.0]))
+        g = {"uniform": uniform_log_density(), "bingham": bingham_log_density(params),
+             "fn": LogDensity(fn=lambda Q: Q[:, 0, 0], manifold="stiefel")}[density]
+        target = PullbackTarget(g, dims)
+        X = 0.1 * np.random.default_rng(1).standard_normal((3, target.dim))
+        X[1, 1] = bad
+        finite = np.isfinite(bad)
+        B = target._stiefel_blocks(X)[2]
+        assert np.isfinite(B[[0, 2]]).all()
+        assert (~np.isfinite(B[1])).sum() == (0 if finite else 2)
+        value = target.rows(X)
+        for route in (lambda: target(X[1].copy()), lambda: value(1)):
+            got = raised(route)
+            if finite and density == "uniform":
+                assert got == log_jacobian_stiefel(StiefelCoords.from_vector(dims, X[1]))
+            elif finite:
+                assert got[0] is ConditioningError
+                assert re.fullmatch(r"cayley_forward_stiefel: reciprocal condition number "
+                                    r"1\.\d+e-200 below cutoff", got[1])
+            elif density == "uniform" and np.isnan(bad):
+                assert got == (ConditioningError, "pullback_log_density: log target is NaN")
+            elif density == "uniform":
+                # An infinite b_l makes S singular in floating point: a silent rejection.
+                assert got == -np.inf
+            else:
+                assert got == (ConditioningError, "cayley_forward_stiefel: non-finite coordinates")
+        for j in (0, 2):
+            assert value(j) == target(X[j].copy())
+        if target.has_gradient:
+            got = raised(lambda: target.values_and_gradients(X))
+            if finite:
+                assert got[0] is ConditioningError
+                assert re.fullmatch(r"PullbackTarget\.value_and_gradient: reciprocal condition "
+                                    r"number 1\.\d+e-200 below cutoff", got[1])
+            else:
+                assert got == (ConditioningError,
+                               "PullbackTarget.value_and_gradient: non-finite coordinates")
 
 
 class TestEntryMarginal:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayley_mcmc import sampler as sampler_module
 from cayley_mcmc.cayley import (
     ManifoldDims,
     StiefelCoords,
@@ -439,8 +440,26 @@ def oracle_leapfrog_chain(target, init, proposal, run):
 class TestLockstepChains:
     """Chains advanced in lockstep through stacked calls equal each chain run alone."""
 
-    def _assert_lockstep_equals_alone(self, target, inits, proposal, run):
+    def _assert_lockstep_equals_alone(self, target, inits, proposal, run, monkeypatch):
+        """Returns the batches and, per lockstep call, its trajectory lengths and each fused
+        call's (stack size, -inf rows)."""
+        trajectories = []
+        lockstep, fused = sampler_module._leapfrog_lockstep, target.values_and_gradients
+
+        def recording_lockstep(*args):
+            trajectories.append((list(args[4]), []))
+            return lockstep(*args)
+
+        def recording_fused(X):
+            values, gradients = fused(X)
+            exits = int((values == -np.inf).sum())
+            trajectories[-1][1].append((X.shape[0], exits))
+            return values, gradients
+
+        monkeypatch.setattr(sampler_module, "_leapfrog_lockstep", recording_lockstep)
+        monkeypatch.setattr(target, "values_and_gradients", recording_fused)
         batches = run_chains(target, inits, proposal, run)
+        monkeypatch.undo()
         assert len(batches) == len(inits)
         for i, batch in enumerate(batches):
             alone = run_chain(target, inits[i], proposal, replace(run, seed=run.seed + i))
@@ -455,33 +474,59 @@ class TestLockstepChains:
             assert (batch.acceptance_rate, batch.final_scale) == (rate, scale)
             assert (batch.counters.steps, batch.counters.accepts, batch.counters.domain_exits,
                     batch.counters.target_rows) == counters
-        return batches
+        return batches, trajectories
 
     @pytest.mark.parametrize("density", ["uniform", "bingham"])
-    def test_stiefel_pair_with_different_trajectory_lengths(self, density):
-        """The chains adapt their own steps, so their L_t differ and one sits idle at times."""
+    def test_stiefel_pair_with_different_trajectory_lengths(self, density, monkeypatch):
+        """The chains adapt their own steps, so their L_t differ and one sits idle at times.
+
+        Some trajectory moves both chains at its first steps and then the
+        longer one alone.
+        """
         dims = ManifoldDims(8, 3)
         target = PullbackTarget(make_density("stiefel", density, 8, 3), dims)
         rng = np.random.default_rng(5)
         inits = np.stack([np.zeros(target.dim), 0.5 * rng.standard_normal(target.dim)])
         proposal = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=6)
-        batches = self._assert_lockstep_equals_alone(target, inits, proposal,
-                                                     RunConfig(iterations=120, burn_in=40,
-                                                               thin=2, seed=7))
+        batches, trajectories = self._assert_lockstep_equals_alone(
+            target, inits, proposal, RunConfig(iterations=120, burn_in=40, thin=2, seed=7),
+            monkeypatch)
         assert batches[0].final_scale != batches[1].final_scale
         assert batches[0].counters.target_rows != batches[1].counters.target_rows
+        assert any(sizes[:3] == [(2, 0)] * 3 and sizes[-1] == (1, 0)
+                   for _, sizes in trajectories[1:])
 
-    def test_grassmann_pair_where_trajectories_leave_the_domain(self):
-        """Near the wall trajectories exit mid-way while the other chain keeps moving."""
+    def test_three_chains_where_the_middle_one_ends_first(self, monkeypatch):
+        """Chains 0 and 2 still moving are not a contiguous run of rows."""
+        dims = ManifoldDims(8, 3)
+        target = PullbackTarget(make_density("stiefel", "bingham", 8, 3), dims)
+        rng = np.random.default_rng(6)
+        inits = np.stack([np.zeros(target.dim)] + [0.4 * rng.standard_normal(target.dim)
+                                                   for _ in range(2)])
+        proposal = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=6)
+        _, trajectories = self._assert_lockstep_equals_alone(
+            target, inits, proposal, RunConfig(iterations=60, burn_in=20, seed=2), monkeypatch)
+        assert any(steps[1] < min(steps[0], steps[2]) and sizes[0] == (3, 0)
+                   and sizes[steps[1]] == (2, 0) for steps, sizes in trajectories[1:])
+
+    def test_grassmann_pair_where_trajectories_leave_the_domain(self, monkeypatch):
+        """Near the wall trajectories exit mid-way while the other chain keeps moving.
+
+        Some trajectory moves both chains for a few steps, then one exits and
+        the other chain goes on alone.
+        """
         target = uniform_target(20, 4, "grassmann")
         near_wall = np.zeros(target.dim)
         near_wall[0] = 0.97
         inits = np.stack([np.zeros(target.dim), near_wall])
         proposal = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=10)
-        batches = self._assert_lockstep_equals_alone(target, inits, proposal,
-                                                     RunConfig(iterations=60, burn_in=20, seed=3))
+        batches, trajectories = self._assert_lockstep_equals_alone(
+            target, inits, proposal, RunConfig(iterations=60, burn_in=20, seed=3), monkeypatch)
         exits = [batch.counters.domain_exits for batch in batches]
         assert max(exits) > 0 and exits[0] != exits[1]
+        assert any(sizes[:2] == [(2, 0)] * 2 and (2, 1) in sizes
+                   and sizes[sizes.index((2, 1)) + 1:][:1] == [(1, 0)]
+                   for _, sizes in trajectories[1:])
 
     def test_rejects_bad_inits(self):
         target = uniform_target()

@@ -1,8 +1,9 @@
 """Per-layer timings of cayley_mcmc, written as one column of a BENCH json file.
 
 Each layer in LAYERS is timed at (p, k) in {(2, 1), (50, 3), (200, 5)} on
-both manifolds, as the median microseconds per call; `values_and_gradients`
-and `leapfrog_iteration` only on the Bingham study's V(3,50).
+both manifolds, as the median microseconds per call; `values_and_gradients`,
+`check_frames`, `value_and_grad_fn` and `leapfrog_iteration` only on the
+Bingham study's V(3,50).
 
 Run it for each tree, in one session on one machine, into the same file,
 alternating the trees a few times:
@@ -50,6 +51,11 @@ LAYERS = {
     "values_and_gradients": "PullbackTarget.values_and_gradients, the stacked fused value and "
                             "gradient, on a stack of M = 1, 2 or 8 vectors of the uniform and "
                             "of the Bingham target at V(3,50); per call, not per row",
+    "check_frames": "cayley.check_frames, every StiefelPoint check, on the validated frames of "
+                    "a stack of M = 1, 2 or 8 vectors at V(3,50); per call, not per row",
+    "value_and_grad_fn": "the Bingham density's value_and_grad_fn (value and gradient from one "
+                         "stacked S Q) on the frames of a stack of M = 1, 2 or 8 vectors at "
+                         "V(3,50); per call, not per row",
     "leapfrog_iteration": "one leapfrog iteration of the Bingham study (n=100, p=50, k=3, "
                           "data seed 1) from its mode, at the step burn-in adapted and the "
                           "proposal's path scale * leapfrog_steps: a run_chain of "
@@ -141,7 +147,12 @@ def measure() -> dict:
     import numpy as np
 
     from cayley_mcmc import sampler
-    from cayley_mcmc.cayley import ManifoldDims, cayley_forward_grassmann, cayley_forward_stiefel
+    from cayley_mcmc.cayley import (
+        ManifoldDims,
+        cayley_forward_grassmann,
+        cayley_forward_stiefel,
+        check_frames,
+    )
     from cayley_mcmc.densities import (
         BinghamParams,
         PullbackTarget,
@@ -189,6 +200,10 @@ def measure() -> dict:
                         uniform.values_and_gradients, X)
                     row[f"values_and_gradients.m{m}.bingham"] = median_us(
                         bingham.values_and_gradients, X)
+                    Q = bingham.frames(X)
+                    row[f"check_frames.m{m}"] = median_us(check_frames, Q)
+                    row[f"value_and_grad_fn.m{m}.bingham"] = median_us(
+                        bingham.g.value_and_grad_fn, Q)
             for layer, us in row.items():
                 layers[f"{layer}.{manifold}.p{p}k{k}"] = round(us, 2)
     layers["leapfrog_iteration.bingham.stiefel.p50k3"] = round(leapfrog_iteration_us(np), 2)
