@@ -1,9 +1,10 @@
 """Cayley maps between Euclidean coordinates and orthogonal matrices.
 
 The forward maps use k x k block formulas rather than the p x p resolvent,
-giving O(p k^2 + k^3) cost: on V(k,p) one small solve with I_k + A^T A - B,
-on G(k,p) one symmetric eigendecomposition of A^T A. The direct p x p
-formula C(X) = (I + X)(I - X)^{-1} I_{p x k} is kept available
+giving O(p k^2 + k^3) cost: on V(k,p) the frame [2P - I; 2AP] from one
+guarded P = (I_k + A^T A - B)^{-1}, on G(k,p) one symmetric
+eigendecomposition of A^T A. The direct p x p formula
+C(X) = (I + X)(I - X)^{-1} I_{p x k} is kept available
 (`cayley_forward_dense`) as a test oracle.
 """
 
@@ -25,6 +26,7 @@ __all__ = [
     "GrassmannPoint",
     "embed_skew",
     "cayley_forward_stiefel",
+    "stiefel_resolvent",
     "stiefel_frame",
     "cayley_inverse_stiefel",
     "cayley_forward_grassmann",
@@ -136,23 +138,45 @@ def _max_abs(M: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(M).reshape(n, rows * cols), axis=1)
 
 
+def _zero_non_finite(M: np.ndarray):
+    """(M, finite) for a stack M (n, k, k): each matrix with a non-finite entry sum zeroed, so
+    that LAPACK never sees it, and the mask of the others (None when every matrix is kept).
+
+    A finite sum of the whole stack clears every matrix at once. Otherwise each matrix takes the
+    finiteness test of `require_finite`, the sum of its entries (one may overflow alone).
+    """
+    if math.isfinite(M.sum()):
+        return M, None
+    n, k = M.shape[:2]
+    finite = np.isfinite(np.add.reduce(M.reshape(n, k * k), axis=-1))
+    return np.where(finite[:, None, None], M, 0.0), finite
+
+
 def _frame_checks(Q: np.ndarray, grassmann: bool):
     """Per frame, what `check_frames` tests: max |Q^T Q - I| and, on G(k,p), max |Q1 - Q1^T|
-    and the smallest eigenvalue of the top block Q1 (None on V(k,p))."""
+    and the smallest eigenvalue of the top block Q1 (None on V(k,p)).
+
+    NaN propagates through each maximum; a non-finite top block gets a NaN eigenvalue.
+    """
     k = Q.shape[-1]
     ortho = _max_abs(Q.swapaxes(-1, -2) @ Q - _identity(k))
     if not grassmann:
         return ortho, None, None
     Q1 = Q[:, :k]
     Q1t = Q1.swapaxes(-1, -2)
-    return ortho, _max_abs(Q1 - Q1t), np.linalg.eigvalsh(0.5 * (Q1 + Q1t)).min(axis=-1)
+    H, finite = _zero_non_finite(0.5 * (Q1 + Q1t))
+    lam_min = np.linalg.eigvalsh(H).min(axis=-1)
+    if finite is not None:
+        lam_min[~finite] = np.nan
+    return ortho, _max_abs(Q1 - Q1t), lam_min
 
 
 def _raise_frame_error(i: int, ortho: np.ndarray, sym, lam_min) -> None:
     """The error frame i's point constructor raises: the first of its checks that it fails."""
-    if ortho[i] > ORTHO_TOL:
+    # Written so that NaN fails each test, here and in the callers.
+    if not ortho[i] <= ORTHO_TOL:
         raise ValueError(f"columns not orthonormal: max |Q^T Q - I| = {ortho[i]:.3e}")
-    if sym[i] > ORTHO_TOL:
+    if not sym[i] <= ORTHO_TOL:
         raise DomainError(f"top block not symmetric: max |Q1 - Q1^T| = {sym[i]:.3e}")
     raise DomainError(f"top block not positive definite: min eigenvalue {lam_min[i]:.3e}")
 
@@ -164,7 +188,7 @@ def check_frames(Q: np.ndarray, grassmann: bool = False) -> None:
     with max |Q1 - Q1^T| <= ORTHO_TOL and smallest eigenvalue above
     SPD_EIG_CUTOFF. Each runs once over the whole stack; the first frame
     that fails raises the error its point constructor raises, for the first
-    check it fails in that order.
+    check it fails in that order. A NaN fails every check.
     """
     if not grassmann:
         # Every frame passes when the stack's largest |Q^T Q - I| entry does; NaN fails this
@@ -175,9 +199,9 @@ def check_frames(Q: np.ndarray, grassmann: bool = False) -> None:
         if np.maximum.reduce(np.abs(M, out=M), axis=None, initial=0.0) <= ORTHO_TOL:
             return
     ortho, sym, lam_min = _frame_checks(Q, grassmann)
-    failing = ortho > ORTHO_TOL
+    failing = ~(ortho <= ORTHO_TOL)
     if grassmann:
-        failing |= (sym > ORTHO_TOL) | (lam_min <= SPD_EIG_CUTOFF)
+        failing |= ~(sym <= ORTHO_TOL) | ~(lam_min > SPD_EIG_CUTOFF)
     if failing.any():
         _raise_frame_error(np.flatnonzero(failing)[0], ortho, sym, lam_min)
 
@@ -190,10 +214,10 @@ def grassmann_frame_exits(Q: np.ndarray) -> np.ndarray:
     constructor instead, the first in stack order.
     """
     ortho, sym, lam_min = _frame_checks(Q, grassmann=True)
-    skewed = ortho > ORTHO_TOL
+    skewed = ~(ortho <= ORTHO_TOL)
     if skewed.any():
         _raise_frame_error(np.flatnonzero(skewed)[0], ortho, sym, lam_min)
-    return (sym > ORTHO_TOL) | (lam_min <= SPD_EIG_CUTOFF)
+    return ~(sym <= ORTHO_TOL) | ~(lam_min > SPD_EIG_CUTOFF)
 
 
 @dataclass(frozen=True)
@@ -279,33 +303,33 @@ def guard_resolvent(S: np.ndarray, context: str) -> np.ndarray:
     return S
 
 
-def stiefel_frame(A: np.ndarray, S: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """The frame [Q1; Q2] = [R; 2A] S^{-1} for S = I + A^T A - B, R = I - A^T A + B.
+def stiefel_resolvent(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """S = I_k + A^T A - B, formed here only; A and B may carry one leading stack axis n."""
+    return _identity(A.shape[-1]) + A.swapaxes(-1, -2) @ A - B
 
-    One guarded solve with S^T covers both blocks; the frame is the
-    (Fortran-ordered) transpose of its solution. A, S and R may each carry
-    one leading stack axis n; the frames are then a stack (n, p, k) from one
-    stacked solve.
+
+def stiefel_frame(A: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The V(k,p) frame [2P - I; 2AP], the only one, given P = inv(guard_resolvent(S)).
+
+    [P; AP] doubled in place (exact), less I in the top block; A and P may carry a stack axis.
     """
-    S = guard_resolvent(S, "cayley_forward_stiefel")
-    Q = np.linalg.solve(S.swapaxes(-1, -2),
-                        np.concatenate([R, A], axis=-2).swapaxes(-1, -2)).swapaxes(-1, -2)
-    Q[..., S.shape[-1]:, :] *= 2.0
+    k = P.shape[-1]
+    Q = np.concatenate([P, A @ P], axis=-2)
+    Q *= 2.0
+    Q[..., :k, :] -= _identity(k)
     return Q
 
 
 def cayley_forward_stiefel(phi: StiefelCoords) -> StiefelPoint:
     """Cayley transform of Stiefel coordinates, via the k x k block formulas.
 
-    Q1 = (I - A^T A + B)(I + A^T A - B)^{-1}, Q2 = 2 A (I + A^T A - B)^{-1},
-    from one solve (`stiefel_frame`). The coordinates are validated here, at
-    the typed boundary, and so is the returned frame.
+    Q1 = 2P - I, Q2 = 2AP with P = (I + A^T A - B)^{-1} (`stiefel_frame`).
+    The coordinates are validated here, at the typed boundary, and so is the
+    returned frame.
     """
     A = phi.a_matrix()
-    B = phi.b_matrix()
-    AtA = A.T @ A
-    Ik = np.eye(phi.dims.k)
-    return StiefelPoint(dims=phi.dims, Q=stiefel_frame(A, Ik + AtA - B, Ik - AtA + B))
+    S = guard_resolvent(stiefel_resolvent(A, phi.b_matrix()), "cayley_forward_stiefel")
+    return StiefelPoint(dims=phi.dims, Q=stiefel_frame(A, np.linalg.inv(S)))
 
 
 def cayley_forward_dense(coords) -> np.ndarray:
@@ -350,14 +374,7 @@ def grassmann_spectra(A: np.ndarray, vectors: bool = False):
     whose A^T A has a non-finite entry gets NaN eigenvalues, and LAPACK
     never sees it. `grassmann_spectrum` is the checked one-matrix case.
     """
-    AtA = A.swapaxes(-1, -2) @ A
-    finite = None
-    # A finite sum of the whole stack clears every matrix at once. Otherwise each matrix takes
-    # the finiteness test of `require_finite`, the sum of its entries (one may overflow alone).
-    if not math.isfinite(AtA.sum()):
-        n, k = AtA.shape[:2]
-        finite = np.isfinite(np.add.reduce(AtA.reshape(n, k * k), axis=-1))
-        AtA = np.where(finite[:, None, None], AtA, 0.0)
+    AtA, finite = _zero_non_finite(A.swapaxes(-1, -2) @ A)
     lam, V = np.linalg.eigh(AtA) if vectors else (np.linalg.eigvalsh(AtA), None)
     if finite is not None:
         lam[~finite] = np.nan

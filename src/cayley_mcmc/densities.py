@@ -29,6 +29,7 @@ from .cayley import (
     guard_resolvent,
     in_grassmann_domain,
     stiefel_frame,
+    stiefel_resolvent,
 )
 from .errors import ConditioningError, DomainError
 from .jacobian import (
@@ -40,7 +41,7 @@ from .jacobian import (
     stiefel_log_jacobian,
     stiefel_log_jacobian_constant,
 )
-from .special_matrices import _identity, _skew_gather, skew_at
+from .special_matrices import _skew_gather, skew_at
 
 __all__ = [
     "LogDensity",
@@ -211,8 +212,8 @@ class PullbackTarget:
 
     The constructor builds the plan for one shape: the manifold, the
     coordinate count, the split of a vector into the skew block b and the
-    (p-k) x k matrix A, the gather that forms B from b and I_k (both cached
-    per k and read-only) and the log-Jacobian constant. `rows` evaluates the
+    (p-k) x k matrix A, the gather that forms B from b (cached per k and
+    read-only) and the log-Jacobian constant. `rows` evaluates the
     pullback at a stack of raw vectors through stacked k x k kernels, with
     no coordinate object and no shape check: callers validate a vector's
     shape once, at the boundary (`run_chains` checks the initial states). A
@@ -220,8 +221,10 @@ class PullbackTarget:
     `log_jacobian_stiefel`, ...) are boundaries over the same kernels.
     `values_and_gradients` is the one fused value-and-gradient kernel, on a
     stack of vectors, with g evaluated on the stack of their validated
-    frames; `value_and_gradient` and `gradient` are its one-row case. `coords`, `point` and `frames` map
-    vectors to typed coordinates and validated frames.
+    frames; `value_and_gradient` and `gradient` are its one-row case. `coords`,
+    `point` and `frames` map vectors to typed coordinates and validated
+    frames. On V(k,p) every route's frame is `cayley.stiefel_frame`, from one
+    guarded P = S^{-1}, so values and frames agree bit for bit across routes.
     """
 
     def __init__(self, g: LogDensity, dims: ManifoldDims):
@@ -231,7 +234,6 @@ class PullbackTarget:
         self.dim = dims.d_v if self._stiefel else dims.d_g
         self.n_b = dims.n_b if self._stiefel else 0
         self._skew_gather = _skew_gather(dims.k)
-        self._eye = _identity(dims.k)
         self._log_j_constant = stiefel_log_jacobian_constant(dims)
 
     def coords(self, vector: np.ndarray) -> Coords:
@@ -245,10 +247,9 @@ class PullbackTarget:
         return X[:, self.n_b:].reshape(n, k, p - k).swapaxes(1, 2)
 
     def _stiefel_blocks(self, X: np.ndarray):
-        """A, A^T A and B of each Stiefel coordinate vector of a stack X (n, d)."""
+        """A and S = I + A^T A - B of each Stiefel coordinate vector of a stack X (n, d)."""
         A = self._a_stack(X)
-        B = skew_at(X, self.dims.k, self._skew_gather)
-        return A, A.swapaxes(1, 2) @ A, B
+        return A, stiefel_resolvent(A, skew_at(X, self.dims.k, self._skew_gather))
 
     def _frames(self, X: np.ndarray) -> np.ndarray:
         """The frames (n, p, k) of a stack X (n, d), not yet validated.
@@ -257,8 +258,8 @@ class PullbackTarget:
         as `cayley_forward_grassmann` does, the first in stack order.
         """
         if self._stiefel:
-            A, AtA, B = self._stiefel_blocks(X)
-            return stiefel_frame(A, self._eye + AtA - B, self._eye - AtA + B)
+            A, S = self._stiefel_blocks(X)
+            return stiefel_frame(A, np.linalg.inv(guard_resolvent(S, "cayley_forward_stiefel")))
         A = self._a_stack(X)
         lam, V = grassmann_spectra(A, vectors=True)
         outside = ~in_grassmann_domain(lam[:, -1])
@@ -276,9 +277,7 @@ class PullbackTarget:
         """
         Q = self._frames(X)
         check_frames(Q, grassmann=not self._stiefel)
-        # Row-major like any stacked array: BLAS may round a product of a
-        # Fortran-ordered frame (the Stiefel solve's layout) differently.
-        return np.ascontiguousarray(Q)
+        return Q
 
     def point(self, vector: np.ndarray) -> Point:
         """The validated frame of a coordinate vector."""
@@ -299,16 +298,18 @@ class PullbackTarget:
         """
         fn = self.g.fn
         if self._stiefel:
-            A, AtA, B = self._stiefel_blocks(X)
-            S = self._eye + AtA - B
+            A, S = self._stiefel_blocks(X)
             log_j, oriented = stiefel_log_jacobian(S, self.dims.p, self._log_j_constant)
 
             def value(j: int) -> float:
                 require_oriented(oriented[j])
                 v = float(log_j[j])
                 if fn is not None:
-                    Q = stiefel_frame(A[j], S[j], self._eye - AtA[j] + B[j])
-                    v = self.g(StiefelPoint(dims=self.dims, Q=Q)) + v
+                    # Row j as a stack of one, as in the fused kernel's one-row call.
+                    S_j = guard_resolvent(S[j:j + 1], "cayley_forward_stiefel")
+                    Q = stiefel_frame(A[j:j + 1], np.linalg.inv(S_j))
+                    check_frames(Q)
+                    v = float(fn(Q)[0]) + v
                 return _not_nan(v)
         else:
             A = self._a_stack(X)
@@ -350,8 +351,8 @@ class PullbackTarget:
         (`jacobian.grassmann_gradient`). When `fn` is set, every frame passes
         `check_frames` once per stack before g's `value_and_grad_fn` sees the
         stack of them. Each row equals its one-row call bit for bit, and its
-        value equals `self(X[j])` to rounding: the frame comes from another
-        factorization.
+        value equals `self(X[j])` bit for bit: both take the frame from the
+        same P.
 
         A row whose value is -inf has no gradient, and its gradient row is
         NaN: a Grassmann row outside the domain, or whose frame
@@ -377,19 +378,14 @@ class PullbackTarget:
 
     def _stiefel_values_and_gradients(self, X: np.ndarray):
         g, p = self.g, self.dims.p
-        A, AtA, B = self._stiefel_blocks(X)
-        S = self._eye + AtA - B
+        A, S = self._stiefel_blocks(X)
         log_j, oriented = stiefel_log_jacobian(S, p, self._log_j_constant)
         if not oriented.all():
             require_oriented(False)
-        # inv runs the LAPACK gesv on I that solve(S, I) runs.
         P = np.linalg.inv(guard_resolvent(S, "PullbackTarget.value_and_gradient"))
         if g.fn is None:
             return log_j, stiefel_gradient(A, P, p)
-        # Q1 = 2P - I, Q2 = 2AP: scaling by 2 is exact, so the order of the factors does not matter.
-        Q = np.concatenate([P, A @ P], axis=-2)
-        Q *= 2.0
-        Q[:, :self.dims.k] -= self._eye
+        Q = stiefel_frame(A, P)
         check_frames(Q)
         g_values, G = g.value_and_grad_fn(Q)
         return g_values + log_j, stiefel_gradient(A, P, p, G)

@@ -36,15 +36,14 @@ def haar_stiefel_coupled(p: int, k: int, rng: np.random.Generator):
     the sign fix is what makes the output exactly Haar rather than uniform
     only up to column signs.
     """
-    if not (1 <= k < p):
-        raise ValueError(f"require 1 <= k < p, got p={p}, k={k}")
+    dims = ManifoldDims(p, k)
     Z = rng.standard_normal((p, k))
     Q, R = np.linalg.qr(Z)
     d = np.sign(np.diag(R))
     if np.any(d == 0):
         raise ArithmeticError("rank-deficient Gaussian draw (probability zero)")
     Q = Q * d
-    return StiefelPoint(dims=ManifoldDims(p, k), Q=Q), Z
+    return StiefelPoint(dims=dims, Q=Q), Z
 
 
 def haar_stiefel(p: int, k: int, rng: np.random.Generator) -> StiefelPoint:

@@ -71,8 +71,7 @@ class SpikedDataSpec:
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not (1 <= self.k < self.p):
-            raise ValueError(f"require 1 <= k < p, got p={self.p}, k={self.k}")
+        ManifoldDims(self.p, self.k)  # the one (p, k) check
         # Written so that NaN and inf fail each test.
         if (lam.shape != (self.k,) or not np.all((0 < lam) & (lam < np.inf))
                 or not np.all(np.diff(lam) < 0)):

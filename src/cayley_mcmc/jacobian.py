@@ -28,6 +28,7 @@ from .cayley import (
     grassmann_spectrum,
     guard_resolvent,
     in_grassmann_domain,
+    stiefel_resolvent,
 )
 from .errors import ConditioningError
 from .special_matrices import _subdiag_flat, coordinate_pairs
@@ -255,8 +256,7 @@ def log_jacobian_stiefel(phi: StiefelCoords) -> float:
     definite). Agrees with the naive evaluation to machine precision and
     has a tractable gradient.
     """
-    A = phi.a_matrix()
-    S = np.eye(phi.dims.k) + A.T @ A - phi.b_matrix()
+    S = stiefel_resolvent(phi.a_matrix(), phi.b_matrix())
     log_j, oriented = stiefel_log_jacobian(S[None], phi.dims.p, stiefel_log_jacobian_constant(phi.dims))
     require_oriented(oriented[0])
     return float(log_j[0])
@@ -308,11 +308,10 @@ def stiefel_gradient(A: np.ndarray, P: np.ndarray, p: int,
 def grad_log_jacobian_stiefel(phi: StiefelCoords) -> np.ndarray:
     """Gradient of the closed-form log-Jacobian in coordinate order (b, vec A).
 
-    The typed boundary of `stiefel_gradient`, with P = S^{-1} from one
-    guarded solve: non-finite or ill-conditioned S raises ConditioningError.
+    The typed boundary of `stiefel_gradient`, with the frame's P = S^{-1}, one
+    guarded inv: non-finite or ill-conditioned S raises ConditioningError.
     """
     A = phi.a_matrix()
-    k = phi.dims.k
-    S = guard_resolvent(np.eye(k) - phi.b_matrix() + A.T @ A, "grad_log_jacobian_stiefel")
-    P = np.linalg.solve(S, np.eye(k))
+    P = np.linalg.inv(guard_resolvent(stiefel_resolvent(A, phi.b_matrix()),
+                                      "grad_log_jacobian_stiefel"))
     return stiefel_gradient(A, P, phi.dims.p)

@@ -134,10 +134,6 @@ class ChainState:
     grad: Optional[np.ndarray] = None
     accept_prob: float = 0.0
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accept_count / self.step_count if self.step_count else 0.0
-
 
 @dataclass(frozen=True)
 class SampleBatch:

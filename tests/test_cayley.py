@@ -17,9 +17,12 @@ from cayley_mcmc.cayley import (
     cayley_forward_stiefel,
     cayley_inverse_grassmann,
     cayley_inverse_stiefel,
+    check_frames,
     embed_skew,
     grassmann_domain_margin,
+    grassmann_frame_exits,
 )
+from cayley_mcmc.densities import PullbackTarget, uniform_log_density
 from cayley_mcmc.errors import CayleyError, ConditioningError, DomainError
 from cayley_mcmc.jacobian import derivative_stiefel
 
@@ -260,6 +263,32 @@ class TestPointValidation:
         dims = ManifoldDims(3, 1)
         with pytest.raises(DomainError):
             GrassmannPoint(dims=dims, Q=np.array([[-1.0], [0.0], [0.0]]))
+
+    @pytest.mark.parametrize("point_type", [StiefelPoint, GrassmannPoint])
+    @pytest.mark.parametrize("p,k", [(4, 2), (6, 3)])
+    def test_rejects_nan_frames(self, p, k, point_type):
+        """A NaN fails every check: an all-NaN frame, or one with a NaN row in either block,
+        raises the orthonormality ValueError, and LAPACK never sees the NaN top block. So does
+        a stack whose second frame is NaN, through `check_frames` and `PullbackTarget.frames`."""
+        dims = ManifoldDims(p, k)
+        grassmann = point_type is GrassmannPoint
+        good = np.eye(p)[:, :k]
+        for row in (slice(None), 0, p - 1):
+            Q = good.copy()
+            Q[row] = np.nan
+            with pytest.raises(ValueError, match="not orthonormal: .* = nan"):
+                point_type(dims=dims, Q=Q)
+        stack = np.stack([good, np.full((p, k), np.nan), good])
+        with pytest.raises(ValueError, match="not orthonormal: .* = nan"):
+            check_frames(stack, grassmann=grassmann)
+        target = PullbackTarget(uniform_log_density("grassmann" if grassmann else "stiefel"),
+                                dims)
+        target._frames = lambda X: stack
+        with pytest.raises(ValueError, match="not orthonormal: .* = nan"):
+            target.frames(np.zeros((3, target.dim)))
+        if grassmann:
+            with pytest.raises(ValueError, match="not orthonormal: .* = nan"):
+                grassmann_frame_exits(stack)
 
     def test_embed_skew_is_skew(self):
         rng = np.random.default_rng(11)

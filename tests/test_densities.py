@@ -37,7 +37,7 @@ from cayley_mcmc.jacobian import (
     log_jacobian_stiefel,
 )
 from cayley_mcmc.sampler import ProposalConfig, RunConfig, run_chain
-from cayley_mcmc.special_matrices import skew_from_vech
+from cayley_mcmc.special_matrices import skew_at, skew_from_vech
 
 
 class TestLogDensity:
@@ -586,7 +586,7 @@ class TestExactRewrites:
         from cayley_mcmc.special_matrices import _identity
 
         target = PullbackTarget(uniform_log_density(manifold), ManifoldDims(7, 3))
-        for constant in (*target._skew_gather, target._eye, _identity(3)):
+        for constant in (*target._skew_gather, _identity(3)):
             with pytest.raises(ValueError, match="read-only"):
                 constant[...] = 0.0
 
@@ -598,7 +598,7 @@ class TestExactRewrites:
         X = np.random.default_rng(k).standard_normal((8, target.dim))
         if target.n_b:
             X[:, 0] = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1e300]
-        B = target._stiefel_blocks(X)[2]
+        B = skew_at(X, k, target._skew_gather)
         rows, cols = np.tril_indices(k, -1)
         order = np.lexsort((rows, cols))  # column-major strict lower triangle
         rows, cols = rows[order], cols[order]
@@ -656,7 +656,7 @@ class TestExactRewrites:
         X = 0.1 * np.random.default_rng(1).standard_normal((3, target.dim))
         X[1, 1] = bad
         finite = np.isfinite(bad)
-        B = target._stiefel_blocks(X)[2]
+        B = skew_at(X, dims.k, target._skew_gather)
         assert np.isfinite(B[[0, 2]]).all()
         assert (~np.isfinite(B[1])).sum() == (0 if finite else 2)
         value = target.rows(X)
@@ -686,6 +686,42 @@ class TestExactRewrites:
             else:
                 assert got == (ConditioningError,
                                "PullbackTarget.value_and_gradient: non-finite coordinates")
+
+
+class TestOneStiefelFrame:
+    """Every V(k,p) route takes its frame from one guarded P = S^{-1}, so the typed value, the
+    stacked rows, the fused kernel and the frame maps agree bit for bit."""
+
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
+    def test_value_rows_and_frames_match_the_fused_kernel(self, p, k, density):
+        rng = np.random.default_rng(7 * p + k)
+        frames = []
+        if density == "uniform":
+            g = uniform_log_density()
+        else:
+            bingham = bingham_log_density(BinghamParams.from_data(
+                rng.standard_normal((3 * p, p)), 1.0, np.linspace(3.0, 1.0, k)))
+
+            def value_and_grad_fn(Q):
+                frames.append(Q.copy())
+                return bingham.value_and_grad_fn(Q)
+
+            g = LogDensity(fn=bingham.fn, manifold="stiefel", value_and_grad_fn=value_and_grad_fn)
+        target = PullbackTarget(g, ManifoldDims(p, k))
+        X = rng.standard_normal((20, target.dim)) / np.sqrt(p)
+        values = target.values_and_gradients(X)[0]
+        stacked = frames[:]
+        value = target.rows(X)
+        for j, x in enumerate(X):
+            frames.clear()
+            assert target(x) == target.value_and_gradient(x)[0]
+            assert value(j) == values[j]
+            if density == "bingham":
+                assert same_bits(target.point(x).Q, frames[0][0])
+                assert same_bits(cayley_forward_stiefel(target.coords(x)).Q, frames[0][0])
+        if density == "bingham":
+            assert same_bits(target.frames(X), stacked[0])
 
 
 class TestEntryMarginal:

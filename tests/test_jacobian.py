@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.stats import ortho_group
 
-from cayley_mcmc.cayley import GrassmannCoords, ManifoldDims, StiefelCoords, cayley_forward_dense
+from cayley_mcmc.cayley import (
+    GrassmannCoords,
+    ManifoldDims,
+    StiefelCoords,
+    cayley_forward_dense,
+    cayley_inverse_stiefel,
+)
 from cayley_mcmc.densities import LogDensity, PullbackTarget, uniform_log_density
+from cayley_mcmc.diagnostics import haar_stiefel
 from cayley_mcmc.errors import ConditioningError, DomainError
 from cayley_mcmc.jacobian import (
     LOG2,
@@ -264,3 +271,31 @@ class TestVolume:
         volume = 2.0 * np.pi ** ((p - 1) / 2) / special.gamma((p - 1) / 2) * radial
         sphere = 2.0 * np.pi ** (p / 2) / special.gamma(p / 2)
         assert volume == pytest.approx(share * sphere, rel=1e-12)
+
+    @pytest.mark.parametrize("p,k", [(4, 2), (6, 3), (10, 3)])
+    def test_haar_estimate_of_the_stiefel_volume(self, p, k):
+        """E[h(phi)/J(phi)] = 1/vol for phi the inverse Cayley image of a Haar frame.
+
+        The Haar law has density J/vol in the coordinates, so for any normalized
+        density h the mean of h/J estimates 1/vol. h is the normal approximation
+        N(0, diag(2/p on b, 1/p on A)), for which h^2/J is integrable. The
+        volume in the coordinates' metric, where each skew pair of b has norm
+        sqrt 2, is 2^{k(k-1)/4} 2^k pi^{pk/2} / Gamma_k(p/2). The estimate ties
+        the closed-form log J, its constant, the inverse map and the Haar
+        sampler to a number none of them computes; with the k(k-1)/4 log 2 of
+        the constant dropped, the gate fails by 13 to 23 standard errors.
+        """
+        draws = 3000
+        dims = ManifoldDims(p, k)
+        rng = np.random.default_rng(10 * p + k)
+        var = np.concatenate([np.full(dims.n_b, 2.0 / p), np.full(dims.d_g, 1.0 / p)])
+        log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * var))
+        log_vol = ((k * (k - 1) / 4 + k) * LOG2 + p * k / 2 * np.log(np.pi)
+                   - special.multigammaln(p / 2, k))
+        w = np.empty(draws)
+        for i in range(draws):
+            phi = cayley_inverse_stiefel(haar_stiefel(p, k, rng))
+            x = phi.phi
+            w[i] = log_norm - 0.5 * np.sum(x * x / var) - log_jacobian_stiefel(phi) + log_vol
+        w = np.exp(w)  # h/J times vol: mean 1
+        assert abs(w.mean() - 1.0) < 4.0 * w.std(ddof=1) / np.sqrt(draws)

@@ -3,7 +3,8 @@
 Each layer in LAYERS is timed at (p, k) in {(2, 1), (50, 3), (200, 5)} on
 both manifolds, as the median microseconds per call; `values_and_gradients`,
 `check_frames`, `value_and_grad_fn` and `leapfrog_iteration` only on the
-Bingham study's V(3,50).
+Bingham study's V(3,50), and `frames` only on the kept-draw stacks of
+uniform-rw and grassmann-rw.
 
 Run it for each tree, in one session on one machine, into the same file,
 alternating the trees a few times:
@@ -56,6 +57,9 @@ LAYERS = {
     "value_and_grad_fn": "the Bingham density's value_and_grad_fn (value and gradient from one "
                          "stacked S Q) on the frames of a stack of M = 1, 2 or 8 vectors at "
                          "V(3,50); per call, not per row",
+    "frames": "PullbackTarget.frames, the kept-draw map (one stacked forward map and one "
+              "check_frames pass), on a stack of M = 2000 vectors at V(3,50) and M = 1800 at "
+              "G(4,20), the kept-draw counts of uniform-rw and grassmann-rw; per call",
     "leapfrog_iteration": "one leapfrog iteration of the Bingham study (n=100, p=50, k=3, "
                           "data seed 1) from its mode, at the step burn-in adapted and the "
                           "proposal's path scale * leapfrog_steps: a run_chain of "
@@ -69,6 +73,7 @@ CHAIN_STEPS = 3000
 STACKS = (1, 8)
 FUSED_STACKS = (1, 2, 8)
 FUSED_SHAPE = ("stiefel", 50, 3)
+FRAMES_STACKS = (("stiefel", 50, 3, 2000), ("grassmann", 20, 4, 1800))  # manifold, p, k, M
 LEAPFROG_BURN_IN = 50
 LEAPFROG_ITERATIONS = 20
 
@@ -206,6 +211,11 @@ def measure() -> dict:
                         bingham.g.value_and_grad_fn, Q)
             for layer, us in row.items():
                 layers[f"{layer}.{manifold}.p{p}k{k}"] = round(us, 2)
+    frames_rng = np.random.default_rng(2)  # its own generator, as for the fused layers
+    for manifold, p, k, m in FRAMES_STACKS:
+        target = PullbackTarget(uniform_log_density(manifold), ManifoldDims(p, k))
+        X = np.stack([point_in_domain(np, frames_rng, manifold, p, k) for _ in range(m)])
+        layers[f"frames.m{m}.{manifold}.p{p}k{k}"] = round(median_us(target.frames, X), 2)
     layers["leapfrog_iteration.bingham.stiefel.p50k3"] = round(leapfrog_iteration_us(np), 2)
     return layers
 

@@ -11,7 +11,9 @@ they reach every subcommand and the exit codes 2, 3 and 4.
 The files a run wrote there (draws.csv, report.json, manifest.json), its
 standard output, its standard error and its exit code must match byte for
 byte; manifest.json records the output path, which is why both runs use the
-same one. In standard error, each tree's ``src`` path reads ``<src>``, so a
+same one. For a draws.csv that differs, the line also says whether its
+coordinate columns (the header's ``n_coords``) are identical and how far
+apart its frame entries are at most. In standard error, each tree's ``src`` path reads ``<src>``, so a
 warning's source location compares by module and line.
 
 An op seed s is the benchmark's op ``s mod 1000`` of workload seed
@@ -132,6 +134,22 @@ def differences(ours: dict, theirs: dict) -> list:
     return sorted(name for name in ours.keys() | theirs.keys() if ours.get(name) != theirs.get(name))
 
 
+def draws_difference(ours: bytes, theirs: bytes) -> str:
+    """How two draws.csv files differ: in the coordinate columns, and by how much in the frames."""
+    header = ours.decode().split("\n", 1)[0]
+    d = int(dict(item.split("=") for item in header[2:].split())["n_coords"])
+    tables = [[line.split(",") for line in text.decode().splitlines()[1:]]
+              for text in (ours, theirs)]
+    if len(tables[0]) != len(tables[1]) or not tables[0]:
+        return f"{len(tables[0])} against {len(tables[1])} draws"
+    coords = "identical" if all(a[:d] == b[:d] for a, b in zip(*tables)) else "differ"
+    frames = [np.array([row[d:] for row in table], dtype=float) for table in tables]
+    if frames[0].shape != frames[1].shape:
+        return f"coordinate columns {coords}, frame widths differ"
+    return (f"coordinate columns {coords}, frame entries differ by at most "
+            f"{np.max(np.abs(frames[0] - frames[1])):.2g}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path,
@@ -169,6 +187,9 @@ def main(argv=None) -> int:
             diff = differences(ours, theirs)
             failures += bool(diff)
             status = "DIFFERS: " + ", ".join(diff) if diff else "identical"
+            for name in diff:
+                if name.endswith("draws.csv") and name in ours and name in theirs:
+                    status += f" [{name}: {draws_difference(ours[name], theirs[name])}]"
             print(f"{label}: {status} "
                   f"({', '.join(n for n in sorted(ours) if n != 'exit code' and ours[n])}; "
                   f"exit code {ours['exit code'].decode()})", flush=True)
