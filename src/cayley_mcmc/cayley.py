@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError
-from .special_matrices import _identity, skew_from_vech, unvec, vec, vech_strict
+from .special_matrices import ManifoldDims, _identity, skew_from_vech, unvec, vec, vech_strict
 
 __all__ = [
     "ManifoldDims",
@@ -39,33 +39,6 @@ __all__ = [
 ORTHO_TOL = 1e-10
 RCOND_CUTOFF = 1e-14
 SPD_EIG_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class ManifoldDims:
-    """Row/column dimensions p, k with 1 <= k < p."""
-
-    p: int
-    k: int
-
-    def __post_init__(self):
-        if not (1 <= self.k < self.p):
-            raise ValueError(f"require 1 <= k < p, got p={self.p}, k={self.k}")
-
-    @property
-    def d_v(self) -> int:
-        """Dimension of the Stiefel manifold V(k,p)."""
-        return self.p * self.k - self.k * (self.k + 1) // 2
-
-    @property
-    def d_g(self) -> int:
-        """Dimension of the Grassmann manifold G(k,p)."""
-        return (self.p - self.k) * self.k
-
-    @property
-    def n_b(self) -> int:
-        """Length of the skew-block coordinate vector b."""
-        return self.k * (self.k - 1) // 2
 
 
 def _float_array(x, shape: tuple, name: str) -> np.ndarray:

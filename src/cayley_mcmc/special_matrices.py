@@ -1,6 +1,6 @@
 """The coordinate layout and the structural integer matrices built from it.
 
-Two cached index tables, `coordinate_pairs` (where each coordinate sits in
+`ManifoldDims` is the package's one check of the dimensions (p, k). Two cached index tables, `coordinate_pairs` (where each coordinate sits in
 the skew embedding) and `transpose_perm` (vec versus transpose), generate
 everything else here. The matrices have entries -1, 0, +1 and are kept as
 index arrays; `toarray` exists for small test oracles only.
@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
+    "ManifoldDims",
     "vec",
     "unvec",
     "coordinate_pairs",
@@ -29,6 +30,33 @@ __all__ = [
     "gamma_stiefel",
     "gamma_grassmann",
 ]
+
+
+@dataclass(frozen=True)
+class ManifoldDims:
+    """Row/column dimensions p, k of V(k,p) and G(k,p); the one (p, k) check."""
+
+    p: int
+    k: int
+
+    def __post_init__(self):
+        if not (1 <= self.k < self.p):
+            raise ValueError(f"require 1 <= k < p, got p={self.p}, k={self.k}")
+
+    @property
+    def d_v(self) -> int:
+        """Dimension of the Stiefel manifold V(k,p)."""
+        return self.p * self.k - self.k * (self.k + 1) // 2
+
+    @property
+    def d_g(self) -> int:
+        """Dimension of the Grassmann manifold G(k,p)."""
+        return (self.p - self.k) * self.k
+
+    @property
+    def n_b(self) -> int:
+        """Length of the skew-block coordinate vector b."""
+        return self.k * (self.k - 1) // 2
 
 
 def vec(M: np.ndarray) -> np.ndarray:
@@ -194,18 +222,13 @@ def skew_at(x: np.ndarray, n: int, gather: tuple[np.ndarray, ...]) -> np.ndarray
     return B.reshape(x.shape[:-1] + (n, n))
 
 
-def _check_pk(p: int, k: int):
-    if not (1 <= k < p):
-        raise ValueError(f"require 1 <= k < p, got p={p}, k={k}")
-
-
 def gamma_stiefel(p: int, k: int) -> SignedIndexMatrix:
     """Linear map from coordinates phi = (b, vec(A)) to vec of the skew embedding."""
-    _check_pk(p, k)
+    ManifoldDims(p, k)
     return _skew_embedding(p, coordinate_pairs(p, k))
 
 
 def gamma_grassmann(p: int, k: int) -> SignedIndexMatrix:
     """Linear map from coordinates psi = vec(A) to vec of the skew embedding (B = 0)."""
-    _check_pk(p, k)
+    ManifoldDims(p, k)
     return _skew_embedding(p, coordinate_pairs(p, k)[k * (k - 1) // 2:])

@@ -345,3 +345,38 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
         assert [outcome[0] for outcome in fresh] == (
             [EXIT_OK, EXIT_OK] if name.startswith("flagged") else [EXIT_USAGE, EXIT_OK])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+class TestDrawsOnOneOrTwoCpus:
+    """uniform-exp past the two-process floor writes the same bytes when held to one CPU."""
+
+    # 400 kept draws of V(3,50) are 400 x (144 + 150) = 117 600 numbers.
+    ARGV = ["uniform-exp", "--p", "50", "--k", "3", "--draws", "400", "--thin", "1",
+            "--burn", "100", "--seed", "3", "--out", "{out}"]
+    RUN = ("import os, sys\n"
+           "cpus = sys.argv.pop(1)\n"
+           "if cpus != 'all':\n"
+           "    os.sched_setaffinity(0, {int(cpus)})\n"
+           "from cayley_mcmc import cli\n"
+           "cli.main()\n")
+
+    def test_one_cpu_and_all_cpus_write_the_same_files(self, tmp_path):
+        from cayley_mcmc.experiments import SPLIT_FLOOR_FLOATS
+        assert 400 * (144 + 150) >= SPLIT_FLOOR_FLOATS
+        out_dir = tmp_path / "out"
+        argv = [arg.format(out=out_dir) for arg in self.ARGV]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        outcomes = []
+        for cpus in (str(min(os.sched_getaffinity(0))), "all"):
+            proc = subprocess.run([sys.executable, "-c", self.RUN, cpus, *argv],
+                                  capture_output=True, cwd=tmp_path,
+                                  env={**os.environ, "PYTHONPATH": src})
+            files = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr, files))
+            for f in out_dir.iterdir():
+                f.unlink()
+        one_cpu, all_cpus = outcomes
+        assert one_cpu[0] == EXIT_OK and one_cpu[2] == b""
+        assert sorted(one_cpu[3]) == ["draws.csv", "manifest.json", "report.json"]
+        assert one_cpu == all_cpus

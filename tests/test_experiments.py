@@ -1,12 +1,14 @@
 """End-to-end studies at reduced scale, plus the draws/report file formats."""
 
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cayley_mcmc import experiments
 from cayley_mcmc.cli import parse_and_dispatch
 from cayley_mcmc.experiments import (
     ExperimentReport,
@@ -19,7 +21,7 @@ from cayley_mcmc.experiments import (
     write_draws_csv,
     write_report,
 )
-from cayley_mcmc.sampler import RunConfig
+from cayley_mcmc.sampler import RunConfig, RunCounters, SampleBatch
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmark"
 sys.path.insert(0, str(BENCH))
@@ -169,6 +171,120 @@ class TestFileFormats:
         assert coords.shape == (0, 7) and points.shape == (0, 5, 2)
         assert np.array_equal(coords, batch.coords_draws)
         assert np.array_equal(points, batch.manifold_draws)
+
+    @staticmethod
+    def _per_row_oracle(batch, manifold):
+        """The bytes of the one-process writer: header, then one joined `repr` line per draw."""
+        n, d = batch.coords_draws.shape
+        p, k = batch.manifold_draws.shape[1:]
+        text = f"# manifold={manifold} p={p} k={k} n_coords={d}\n"
+        for i in range(n):
+            row = np.concatenate([batch.coords_draws[i],
+                                  batch.manifold_draws[i].reshape(-1, order="F")])
+            text += ",".join(map(repr, row.tolist())) + "\n"
+        return text.encode()
+
+    @staticmethod
+    def _synthetic(n, p=5, k=2, seed=0):
+        """n draws of V(k,p)'s shapes; the writer reads no more than the arrays."""
+        rng = np.random.default_rng(seed)
+        d = p * k - k * (k + 1) // 2
+        return SampleBatch(rng.standard_normal((n, d)), rng.standard_normal((n, p, k)),
+                           acceptance_rate=0.5, final_scale=0.1,
+                           counters=RunCounters(steps=n, accepts=n, domain_exits=0, target_rows=n))
+
+    @staticmethod
+    def _count_forks(monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    @pytest.mark.parametrize("floor", ["real", 1])
+    def test_writer_matches_the_per_row_oracle(self, tmp_path, monkeypatch, n, floor):
+        """With the floor at one number, every batch that holds a row is split."""
+        if floor != "real":
+            monkeypatch.setattr(experiments, "SPLIT_FLOOR_FLOATS", floor)
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        forks = self._count_forks(monkeypatch)
+        batch = self._synthetic(n, seed=n)
+        path = tmp_path / "draws.csv"
+        write_draws_csv(path, batch, manifold="stiefel")
+        assert path.read_bytes() == self._per_row_oracle(batch, "stiefel")
+        assert len(forks) == (1 if floor != "real" and n > 0 else 0)
+        assert [f.name for f in tmp_path.iterdir()] == ["draws.csv"]
+
+    @pytest.mark.parametrize("n,splits", [(4, False), (5, True)])
+    def test_floor_counts_the_numbers_in_the_file(self, tmp_path, monkeypatch, n, splits):
+        """A row of V(2,5) holds 7 coordinates and 10 frame entries: 5 rows reach a floor of 85."""
+        monkeypatch.setattr(experiments, "SPLIT_FLOOR_FLOATS", 85)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        forks = self._count_forks(monkeypatch)
+        batch = self._synthetic(n, seed=3)
+        write_draws_csv(tmp_path / "draws.csv", batch, manifold="stiefel")
+        assert (tmp_path / "draws.csv").read_bytes() == self._per_row_oracle(batch, "stiefel")
+        assert len(forks) == int(splits)
+
+    def _above_the_floor(self):
+        """A V(3,50) batch past the real floor, with awkward doubles in both halves."""
+        rows = experiments.SPLIT_FLOOR_FLOATS // (144 + 150) + 3
+        batch = self._synthetic(rows, p=50, k=3, seed=9)
+        special = [-0.0, 5e-324, 1e-05, 0.1, 1e16, -1.5e300]
+        for i in (0, rows // 2 - 1, rows // 2, rows - 1):
+            batch.coords_draws[i, :6] = special
+            batch.manifold_draws[i, -1, :] = special[:3]
+            batch.manifold_draws[i, 0, :] = special[3:]
+        return batch
+
+    def test_writer_above_the_real_floor_matches_the_oracle(self, tmp_path, monkeypatch):
+        forks = self._count_forks(monkeypatch)
+        batch = self._above_the_floor()
+        path = tmp_path / "draws.csv"
+        write_draws_csv(path, batch, manifold="stiefel")
+        assert path.read_bytes() == self._per_row_oracle(batch, "stiefel")
+        assert len(forks) == (1 if experiments._usable_cpus() >= 2 else 0)
+        assert [f.name for f in tmp_path.iterdir()] == ["draws.csv"]
+
+    def test_one_cpu_writes_in_one_process(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        batch = self._above_the_floor()
+        write_draws_csv(tmp_path / "draws.csv", batch, manifold="stiefel")
+        assert (tmp_path / "draws.csv").read_bytes() == self._per_row_oracle(batch, "stiefel")
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_a_failing_part_raises_and_leaves_no_child_or_file(self, tmp_path, monkeypatch,
+                                                               failing):
+        """The child's part starts past row 0, the parent's at it."""
+        write_rows = experiments._write_rows
+
+        def fail_in_one_part(fh, batch, rows):
+            if (rows.start > 0) == (failing == "child"):
+                raise OSError(f"{failing} failed")
+            write_rows(fh, batch, rows)
+
+        monkeypatch.setattr(experiments, "SPLIT_FLOOR_FLOATS", 1)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "_write_rows", fail_in_one_part)
+        forks = self._count_forks(monkeypatch)
+        expected = "exited with status 1" if failing == "child" else "parent failed"
+        with pytest.raises(OSError, match=expected):
+            write_draws_csv(tmp_path / "draws.csv", self._synthetic(40), manifold="stiefel")
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [f.name for f in tmp_path.iterdir()] == ["draws.csv"]
 
     def test_report_json_excludes_runtime(self, tmp_path):
         report = ExperimentReport(name="x", config={"a": 1}, metrics={"m": 2.0})

@@ -3,8 +3,8 @@
 Each layer in LAYERS is timed at (p, k) in {(2, 1), (50, 3), (200, 5)} on
 both manifolds, as the median microseconds per call; `values_and_gradients`,
 `check_frames`, `value_and_grad_fn` and `leapfrog_iteration` only on the
-Bingham study's V(3,50), and `frames` only on the kept-draw stacks of
-uniform-rw and grassmann-rw.
+Bingham study's V(3,50), and `frames` and `draws_csv` only on the kept-draw
+stacks of uniform-rw and grassmann-rw.
 
 Run it for each tree, in one session on one machine, into the same file,
 alternating the trees a few times:
@@ -19,7 +19,9 @@ the one next to this script); a layer whose API a tree lacks is left out of
 that tree's column. Each call appends one run to its column, and the
 column's ``us`` is the median of its runs per layer: a shared host changes
 speed for minutes at a time, so a single run per tree can mistake a slow
-phase for a regression.
+phase for a regression. The column's ``min_us`` is the minimum over its runs,
+printed beside the median after each call: a layer whose processes settle
+into a fast or a slow mode compares by its minimum, not by the mode count.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -60,6 +63,8 @@ LAYERS = {
     "frames": "PullbackTarget.frames, the kept-draw map (one stacked forward map and one "
               "check_frames pass), on a stack of M = 2000 vectors at V(3,50) and M = 1800 at "
               "G(4,20), the kept-draw counts of uniform-rw and grassmann-rw; per call",
+    "draws_csv": "experiments.write_draws_csv of the frames stacks (M = 2000 at V(3,50), "
+                 "M = 1800 at G(4,20)) into a fresh directory; per call",
     "leapfrog_iteration": "one leapfrog iteration of the Bingham study (n=100, p=50, k=3, "
                           "data seed 1) from its mode, at the step burn-in adapted and the "
                           "proposal's path scale * leapfrog_steps: a run_chain of "
@@ -151,7 +156,7 @@ def point_in_domain(np, rng, manifold: str, p: int, k: int):
 def measure() -> dict:
     import numpy as np
 
-    from cayley_mcmc import sampler
+    from cayley_mcmc import experiments, sampler
     from cayley_mcmc.cayley import (
         ManifoldDims,
         cayley_forward_grassmann,
@@ -215,7 +220,13 @@ def measure() -> dict:
     for manifold, p, k, m in FRAMES_STACKS:
         target = PullbackTarget(uniform_log_density(manifold), ManifoldDims(p, k))
         X = np.stack([point_in_domain(np, frames_rng, manifold, p, k) for _ in range(m)])
+        Q = target.frames(X)
         layers[f"frames.m{m}.{manifold}.p{p}k{k}"] = round(median_us(target.frames, X), 2)
+        batch = sampler.SampleBatch(coords_draws=X, manifold_draws=Q, acceptance_rate=0.0,
+                                    final_scale=0.0, counters=None)
+        with tempfile.TemporaryDirectory() as directory:
+            layers[f"draws_csv.m{m}.{manifold}.p{p}k{k}"] = round(median_us(
+                experiments.write_draws_csv, Path(directory) / "draws.csv", batch, manifold), 2)
     layers["leapfrog_iteration.bingham.stiefel.p50k3"] = round(leapfrog_iteration_us(np), 2)
     return layers
 
@@ -241,6 +252,8 @@ def environment() -> dict:
         "blas_threads": int(BLAS_THREADS),
         "cpu": cpu,
         "nproc": os.cpu_count(),
+        "affinity_cpus": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                          else None),
     }
 
 
@@ -259,9 +272,14 @@ def main(argv=None) -> int:
     column = doc.setdefault("columns", {}).setdefault(args.column, {"runs": []})
     column["environment"] = environment()
     column["runs"].append(measure())
-    column["us"] = {layer: round(statistics.median(run[layer] for run in column["runs"]), 2)
-                    for layer in column["runs"][0]}
+    runs = column["runs"]
+    column["us"] = {layer: round(statistics.median(run[layer] for run in runs), 2)
+                    for layer in runs[0]}
+    column["min_us"] = {layer: min(run[layer] for run in runs) for layer in runs[0]}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"{args.column}, {len(runs)} runs: median and minimum us per call")
+    for layer, us in column["us"].items():
+        print(f"  {layer:<48} {us:>12.2f} {column['min_us'][layer]:>12.2f}")
     return 0
 
 
