@@ -33,6 +33,7 @@ from .cayley import (
 from .densities import BinghamParams, PullbackTarget, bingham_log_density, uniform_log_density
 from .errors import CayleyError
 from .experiments import (
+    DrawsWriter,
     ExperimentReport,
     SpikedDataSpec,
     run_bingham_experiment,
@@ -191,11 +192,12 @@ def _cmd_sample(cfg: dict) -> int:
     target = PullbackTarget(g, dims)
     proposal = default_proposal(target, kind=cfg["proposal"], scale=cfg["scale"])
     run = RunConfig(iterations=cfg["iters"], burn_in=cfg["burn"], thin=cfg["thin"], seed=cfg["seed"])
-    batch = run_chain(target, np.zeros(target.dim), proposal, run)
-
     out = Path(cfg["out"])
-    _write_manifest(out, "sample", cfg)
-    write_draws_csv(out / "draws.csv", batch, manifold=cfg["manifold"])
+    # --out is made only once the chain has succeeded; the writer needs no directory before.
+    with DrawsWriter.for_chain(target, run) as draws:
+        batch = run_chain(target, np.zeros(target.dim), proposal, run, sink=draws)
+        _write_manifest(out, "sample", cfg)
+        write_draws_csv(out / "draws.csv", batch, manifold=cfg["manifold"], writer=draws)
     report = ExperimentReport(
         name="sample",
         config=cfg,

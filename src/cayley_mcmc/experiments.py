@@ -10,14 +10,17 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import select
 import shutil
 import signal
 import tempfile
 import warnings
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import stats
@@ -55,6 +58,7 @@ __all__ = [
     "run_uniform_experiment",
     "run_bingham_experiment",
     "run_normal_approx_experiment",
+    "DrawsWriter",
     "write_draws_csv",
     "read_draws_csv",
     "write_report",
@@ -125,35 +129,37 @@ def run_uniform_experiment(p: int, k: int, draws: int, seed: int,
     target = PullbackTarget(uniform_log_density("stiefel"), dims)
     burn = burn_in if burn_in is not None else max(2000, 2 * dims.d_v)
     run_cfg = RunConfig(iterations=burn + draws * thin, burn_in=burn, thin=thin, seed=seed)
-    batch = run_chain(target, np.zeros(dims.d_v), default_proposal(target), run_cfg)
+    with _draws_sink(target, run_cfg, out_dir) as writer:
+        batch = run_chain(target, np.zeros(dims.d_v), default_proposal(target), run_cfg,
+                          writer)
 
-    entry = batch.manifold_draws[:, 0, 0]
-    marginal = EntryMarginal(p)
-    ks_entry = ks_statistic(entry, marginal.cdf)
+        entry = batch.manifold_draws[:, 0, 0]
+        marginal = EntryMarginal(p)
+        ks_entry = ks_statistic(entry, marginal.cdf)
 
-    scale_first = np.sqrt(p / 2.0) if dims.n_b > 0 else np.sqrt(float(p))
-    first_scaled = scale_first * batch.coords_draws[:, 0]
-    ks_normal = ks_statistic(first_scaled, stats.norm.cdf)
+        scale_first = np.sqrt(p / 2.0) if dims.n_b > 0 else np.sqrt(float(p))
+        first_scaled = scale_first * batch.coords_draws[:, 0]
+        ks_normal = ks_statistic(first_scaled, stats.norm.cdf)
 
-    report = ExperimentReport(
-        name="uniform",
-        config={"p": p, "k": k, "draws": draws, "seed": seed, "thin": thin,
-                "burn_in": burn, "iterations": run_cfg.iterations},
-        metrics={
-            "ks_top_left_entry": ks_entry,
-            "ks_scaled_first_coordinate": ks_normal,
-            "acceptance_rate": batch.acceptance_rate,
-            "ess_top_left_entry": acf_ess(entry).ess,
-            "n_draws": int(entry.shape[0]),
-            "counters": asdict(batch.counters),
-        },
-        histograms={
-            "top_left_entry": _histogram(entry, 40, -1.0, 1.0),
-            "scaled_first_coordinate": _histogram(first_scaled, 40, -5.0, 5.0),
-        },
-    )
-    if out_dir is not None:
-        _persist(out_dir, report, batch, manifold="stiefel")
+        report = ExperimentReport(
+            name="uniform",
+            config={"p": p, "k": k, "draws": draws, "seed": seed, "thin": thin,
+                    "burn_in": burn, "iterations": run_cfg.iterations},
+            metrics={
+                "ks_top_left_entry": ks_entry,
+                "ks_scaled_first_coordinate": ks_normal,
+                "acceptance_rate": batch.acceptance_rate,
+                "ess_top_left_entry": acf_ess(entry).ess,
+                "n_draws": int(entry.shape[0]),
+                "counters": asdict(batch.counters),
+            },
+            histograms={
+                "top_left_entry": _histogram(entry, 40, -1.0, 1.0),
+                "scaled_first_coordinate": _histogram(first_scaled, 40, -5.0, 5.0),
+            },
+        )
+        if out_dir is not None:
+            _persist(out_dir, report, batch, manifold="stiefel", writer=writer)
     return report
 
 
@@ -196,43 +202,44 @@ def run_bingham_experiment(spec: SpikedDataSpec, run: RunConfig,
     rng_init = np.random.Generator(np.random.PCG64(spec.seed + 1))
     haar_init = haar_stiefel(spec.p, spec.k, rng_init)
 
-    # Chain i is seeded run.seed + i; the two advance in lockstep.
-    chains = run_chains(target, np.stack([init_from_manifold(mode), init_from_manifold(haar_init)]),
-                        BINGHAM_PROPOSAL, run)
-    angle_series = [np.array([principal_angles(Qd, mode.Q) for Qd in batch.manifold_draws])
-                    for batch in chains]
+    with _draws_sink(target, run, out_dir) as writer:
+        # Chain i is seeded run.seed + i; the two advance in lockstep.
+        inits = np.stack([init_from_manifold(mode), init_from_manifold(haar_init)])
+        chains = run_chains(target, inits, BINGHAM_PROPOSAL, run, writer)
+        angle_series = [np.array([principal_angles(Qd, mode.Q) for Qd in batch.manifold_draws])
+                        for batch in chains]
 
-    bins = 30
-    hi = float(np.pi / 2)
-    hists = [np.histogram(a[:, 0], bins=bins, range=(0.0, hi))[0] for a in angle_series]
-    tv = 0.5 * float(np.sum(np.abs(hists[0] / hists[0].sum() - hists[1] / hists[1].sum())))
+        bins = 30
+        hi = float(np.pi / 2)
+        hists = [np.histogram(a[:, 0], bins=bins, range=(0.0, hi))[0] for a in angle_series]
+        tv = 0.5 * float(np.sum(np.abs(hists[0] / hists[0].sum() - hists[1] / hists[1].sum())))
 
-    diag0 = acf_ess(angle_series[0][:, 0])
-    metrics = {
-        "theta1_tv_between_chains": tv,
-        "theta1_lag1_acf": float(diag0.acf[1]),
-        "theta1_ess_chain0": diag0.ess,
-        "theta1_mean_chain0": float(angle_series[0][:, 0].mean()),
-        "acceptance_rates": [c.acceptance_rate for c in chains],
-        "final_scales": [c.final_scale for c in chains],
-        "n_draws_per_chain": int(angle_series[0].shape[0]),
-        "counters": [asdict(c.counters) for c in chains],
-    }
-    histograms = {
-        f"theta{j + 1}_chain{i}": _histogram(a[:, j], bins, 0.0, hi)
-        for i, a in enumerate(angle_series) for j in range(spec.k)
-    }
-    report = ExperimentReport(
-        name="bingham",
-        config={"n": spec.n, "p": spec.p, "k": spec.k, "sigma2": spec.sigma2,
-                "lambda": spec.lam.tolist(), "seed": spec.seed,
-                "iterations": run.iterations, "burn_in": run.burn_in,
-                "thin": run.thin, "chain_seed": run.seed},
-        metrics=metrics,
-        histograms=histograms,
-    )
-    if out_dir is not None:
-        _persist(out_dir, report, chains[0], manifold="stiefel")
+        diag0 = acf_ess(angle_series[0][:, 0])
+        metrics = {
+            "theta1_tv_between_chains": tv,
+            "theta1_lag1_acf": float(diag0.acf[1]),
+            "theta1_ess_chain0": diag0.ess,
+            "theta1_mean_chain0": float(angle_series[0][:, 0].mean()),
+            "acceptance_rates": [c.acceptance_rate for c in chains],
+            "final_scales": [c.final_scale for c in chains],
+            "n_draws_per_chain": int(angle_series[0].shape[0]),
+            "counters": [asdict(c.counters) for c in chains],
+        }
+        histograms = {
+            f"theta{j + 1}_chain{i}": _histogram(a[:, j], bins, 0.0, hi)
+            for i, a in enumerate(angle_series) for j in range(spec.k)
+        }
+        report = ExperimentReport(
+            name="bingham",
+            config={"n": spec.n, "p": spec.p, "k": spec.k, "sigma2": spec.sigma2,
+                    "lambda": spec.lam.tolist(), "seed": spec.seed,
+                    "iterations": run.iterations, "burn_in": run.burn_in,
+                    "thin": run.thin, "chain_seed": run.seed},
+            metrics=metrics,
+            histograms=histograms,
+        )
+        if out_dir is not None:
+            _persist(out_dir, report, chains[0], manifold="stiefel", writer=writer)
     return report
 
 
@@ -281,15 +288,24 @@ def run_normal_approx_experiment(k: int, p_grid, replicates: int, seed: int,
     return report
 
 
-# A file of at least this many numbers is written by two processes. A fork
+# A file of at least this many numbers is formatted by two processes. A fork
 # round trip (fork, the child's _exit, waitpid) was measured at 3.5-4.7 ms
 # (10 ms at worst) in a 108 MB process after a uniform-exp op, and `repr`
-# formats a float in about 0.9 us (2 vCPUs, Python 3.11). A second process
-# saves half the formatting, so it pays from about 2 x 5 ms / 0.9 us = 11 000
-# numbers on; the floor leaves a ten-fold margin for the copy-on-write faults
-# and the appended copy: each part holds at least 50 000 numbers, about 45 ms
-# of formatting.
+# formats a float in 0.6-1.2 us (2 vCPUs, Python 3.11). The child formats
+# rows while the chain still runs, and half of those left when it ends, so
+# it pays from about 2 x 5 ms / 0.9 us = 11 000 numbers on; the floor leaves
+# a ten-fold margin for the copy-on-write faults the chain takes while the
+# child lives and for the copies of the spool and the tail into the file.
 SPLIT_FLOOR_FLOATS = 100_000
+
+# Kept rows per post from the chain to the writing child, and per stacked
+# frame map in the child. A post is one 8-byte pipe write, and 100 rows of
+# V(3,50) take the child about 20 ms to format.
+KEPT_CHUNK = 100
+# The post that asks the child for its stop row; every other post is a count
+# of stored rows. Not EOF: a child forked by another writer meanwhile holds a
+# copy of this pipe's write end, which would delay the EOF until it exits.
+ASK_STOP = -1
 
 
 def _usable_cpus() -> int:
@@ -300,71 +316,198 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _write_rows(fh, batch: SampleBatch, rows: range) -> None:
-    """Draws `rows` as CSV lines: coordinates, then flattened Q (column-major)."""
-    for i in rows:
-        row = np.concatenate([batch.coords_draws[i],
-                              batch.manifold_draws[i].reshape(-1, order="F")])
-        fh.write(",".join(map(repr, row.tolist())) + "\n")
+def _in_two_processes(numbers: int) -> bool:
+    """Whether a draws file of `numbers` numbers is formatted by a second process."""
+    return numbers >= SPLIT_FLOOR_FLOATS and _usable_cpus() >= 2
 
 
-def _write_rows_in_two_processes(fh, batch: SampleBatch, directory: Path) -> None:
-    """`_write_rows` over every draw, the later half formatted by a forked child.
+def _lines(coords: np.ndarray, frames: np.ndarray):
+    """The CSV line of each draw: coordinates, then the frame flattened column-major."""
+    for x, Q in zip(coords, frames):
+        yield ",".join(map(repr, np.concatenate([x, Q.reshape(-1, order="F")]).tolist())) + "\n"
 
-    The child writes rows [cut, n) to an unnamed temporary file in
-    `directory` while this process writes rows [0, cut) to `fh`; the child's
-    rows are then appended. The child leaves through `os._exit`, so no buffer
-    it inherited (`fh`'s header, stdout) is flushed twice, and it is reaped
-    on every path, this process's exceptions included.
+
+
+class DrawsWriter:
+    """The lines of draws.csv, formatted by a second process as a chain keeps the draws.
+
+    `coords` (n, d) holds the draws: all of them from the start (`ready` =
+    n), or, as the sink of `run_chains` (`for_chain`), the rows a chain
+    keeps, each announced by `kept(r)` once stored. `frames_of(rows)` gives
+    the frames of `coords[rows]` for a slice `rows`.
+
+    With `fork`, a child forked at construction formats the rows from row 0
+    on into an unnamed spool file as they are posted, every KEPT_CHUNK rows,
+    and maps each block of them to frames with `frames_of`; it blocks only
+    when it has caught up. Rows are independent, so a block's frames are
+    the same bits as the chain's one stacked map. `write` posts ASK_STOP;
+    the child then names the row it stops at, half-way through the rows it
+    has not written, and goes on up to it, while this process
+    formats the rows from there on from the batch's validated frames. The
+    file is the header, the spool and those rows, written only once the
+    child has exited with status 0. Without `fork`, `write` formats every
+    row itself.
+
+    Leaving the writer's `with` block kills and reaps a child still
+    running, so a chain that raises leaves no process and no file behind.
     """
-    n = batch.coords_draws.shape[0]
-    cut = n // 2
-    with tempfile.TemporaryFile("w+", dir=directory) as tail:
+
+    def __init__(self, coords: np.ndarray, frames_of: Callable[[slice], np.ndarray],
+                 ready: int, fork: bool):
+        self.coords = coords
+        self._frames_of = frames_of
+        self._ready = ready
+        self._pid = self._posts = self._reply = self._spool = None
+        if fork:
+            self._fork()
+
+    @classmethod
+    def for_chain(cls, target: PullbackTarget, run: RunConfig) -> "DrawsWriter":
+        """The sink of the draws one chain of `run` keeps on `target`; no row is ready yet."""
+        n, d = (run.iterations - run.burn_in) // run.thin, target.dim
+        fork = _in_two_processes(n * (d + target.dims.p * target.dims.k))
+        # Shared with the child, which reads each row the chain stores.
+        coords = (np.frombuffer(mmap.mmap(-1, n * d * 8)).reshape(n, d) if fork
+                  else np.empty((n, d)))
+        return cls(coords, lambda rows: target._frames(coords[rows]), 0, fork)
+
+    def __enter__(self) -> "DrawsWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def kept(self, count: int) -> None:
+        """The first `count` rows are stored: posted at each KEPT_CHUNK and at the last row."""
+        if self._posts is not None and (count % KEPT_CHUNK == 0 or count == len(self.coords)):
+            self._post(count)
+
+    def _post(self, message: int) -> None:
+        try:
+            os.write(self._posts, message.to_bytes(8, "little", signed=True))
+        except BrokenPipeError:
+            pass  # the child has died; `write` raises with its exit status
+
+    def _fork(self) -> None:
+        posts, self._posts = os.pipe()
+        self._reply, reply = os.pipe()
+        self._spool = tempfile.TemporaryFile("w+")
         # Python 3.12 warns at a fork in a process with threads (BLAS pools
-        # here). The child calls no BLAS, only numpy copies and `repr`, and a
-        # warning would change stderr, or under -W error lose the child's pid.
+        # here), which would change stderr, or under -W error lose the
+        # child's pid. The child's BLAS calls are tested under two threads.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                _write_rows(tail, batch, range(cut, n))
-                tail.flush()
+                # With the parent's end closed here too, EOF means the parent is gone.
+                os.close(self._posts)
+                os.close(self._reply)
+                self._format_posted(posts, reply)
                 code = 0
             finally:
+                # Flushes no buffer it inherited (stdout), runs no exit handler.
                 os._exit(code)
-        status = None
-        try:
-            _write_rows(fh, batch, range(cut))
-            status = os.waitpid(pid, 0)[1]
-        finally:
-            if status is None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        if status:
-            raise OSError(f"the process writing draws {cut} to {n - 1} exited with status "
-                          f"{os.waitstatus_to_exitcode(status)}")
-        tail.seek(0)
-        shutil.copyfileobj(tail, fh)
+        self._pid = pid
+        os.close(posts)
+        os.close(reply)
+
+    def _format_posted(self, posts: int, reply: int) -> None:
+        """The child's part: rows from 0 on as they are posted, up to the row it names.
+
+        It names that row when ASK_STOP comes and leaves only there, or, with
+        status 1, at EOF: the parent is gone.
+        """
+        ready, row, stop = self._ready, 0, None
+        lines, block_end = None, 0
+        while stop is None or row < stop:
+            if stop is None and select.select([posts], [], [], 0 if row < ready else None)[0]:
+                # Whole 8-byte posts: a pipe write that small is atomic.
+                message = os.read(posts, 4096)
+                if not message:
+                    raise EOFError("the process running the chain has gone")
+                posted = [int.from_bytes(message[i:i + 8], "little", signed=True)
+                          for i in range(0, len(message), 8)]
+                ready = max(ready, *posted)
+                if posted[-1] == ASK_STOP:  # nothing is posted after it
+                    stop = row + (ready - row) // 2
+                    os.write(reply, stop.to_bytes(8, "little"))
+                continue
+            if row == block_end:
+                block_end = min(ready if stop is None else stop, row + KEPT_CHUNK)
+                rows = slice(row, block_end)
+                lines = _lines(self.coords[rows], self._frames_of(rows))
+            self._spool.write(next(lines))
+            row += 1
+        self._spool.flush()
+
+    def write(self, path, batch: SampleBatch, manifold: str) -> None:
+        """draws.csv at `path`: the header, then one line per draw of `batch`."""
+        if batch.coords_draws is not self.coords:
+            raise ValueError("the batch's draws are not the rows this writer holds")
+        path = Path(path)
+        d = self.coords.shape[1]
+        p, k = batch.manifold_draws.shape[1:]
+        header = f"# manifold={manifold} p={p} k={k} n_coords={d}\n"
+        if self._pid is None:
+            with path.open("w") as fh:
+                fh.write(header)
+                fh.writelines(_lines(self.coords, batch.manifold_draws))
+            return
+        self._post(ASK_STOP)
+        answer = os.read(self._reply, 8)
+        with tempfile.TemporaryFile("w+") as tail:
+            if answer:
+                stop = int.from_bytes(answer, "little")
+                tail.writelines(_lines(self.coords[stop:], batch.manifold_draws[stop:]))
+            status = os.waitpid(self._pid, 0)[1]
+            self._pid = None
+            if status or not answer:
+                raise OSError(f"the process writing draws exited with status "
+                              f"{os.waitstatus_to_exitcode(status)}")
+            with path.open("wb") as fh:
+                fh.write(header.encode())
+                for part in (self._spool, tail):
+                    part.seek(0)
+                    shutil.copyfileobj(part.buffer, fh)
+
+    def close(self) -> None:
+        """Kill and reap a child still running; close the pipes and the spool."""
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        for fd in (self._posts, self._reply):
+            if fd is not None:
+                os.close(fd)
+        self._posts = self._reply = None
+        if self._spool is not None:
+            self._spool.close()
+            self._spool = None
 
 
-def write_draws_csv(path, batch: SampleBatch, manifold: str) -> None:
+def _draws_sink(target: PullbackTarget, run: RunConfig, out_dir):
+    """A `DrawsWriter` for chain 0 when draws.csv is written, else a context of None."""
+    return DrawsWriter.for_chain(target, run) if out_dir is not None else nullcontext()
+
+
+def write_draws_csv(path, batch: SampleBatch, manifold: str,
+                    writer: Optional[DrawsWriter] = None) -> None:
     """One row per retained draw: coordinates, then flattened Q (column-major).
 
-    A file of at least `SPLIT_FLOOR_FLOATS` numbers, written by a process
-    that may run on two CPUs or more, is formatted by two processes; the
-    bytes are the same either way.
+    `writer` is the `DrawsWriter` that the chain of `batch` filled, which
+    may have formatted rows already. Without one, every row is ready at
+    once: a file of at least `SPLIT_FLOOR_FLOATS` numbers, written by a
+    process that may run on two CPUs or more, is formatted by a child forked
+    here and by this process, half each. The bytes are the same either way.
     """
-    path = Path(path)
-    n, d = batch.coords_draws.shape
-    p, k = batch.manifold_draws.shape[1:]
-    with path.open("w") as fh:
-        fh.write(f"# manifold={manifold} p={p} k={k} n_coords={d}\n")
-        if n * (d + p * k) >= SPLIT_FLOOR_FLOATS and _usable_cpus() >= 2:
-            _write_rows_in_two_processes(fh, batch, path.parent)
-        else:
-            _write_rows(fh, batch, range(n))
+    if writer is None:
+        frames = batch.manifold_draws
+        writer = DrawsWriter(batch.coords_draws, frames.__getitem__, len(frames),
+                             _in_two_processes(batch.coords_draws.size + frames.size))
+    with writer:
+        writer.write(path, batch, manifold)
 
 
 def read_draws_csv(path):
@@ -393,8 +536,9 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
     return path
 
 
-def _persist(out_dir, report: ExperimentReport, batch: SampleBatch, manifold: str) -> None:
+def _persist(out_dir, report: ExperimentReport, batch: SampleBatch, manifold: str,
+             writer: Optional[DrawsWriter]) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(report, out)
-    write_draws_csv(out / "draws.csv", batch, manifold=manifold)
+    write_draws_csv(out / "draws.csv", batch, manifold=manifold, writer=writer)

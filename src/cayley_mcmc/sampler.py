@@ -46,7 +46,10 @@ oracle). A row's errors surface only if the chain reaches it.
 Validation happens at the boundary, once: `run_chains` checks the initial
 vectors' shape, and after the chains maps each chain's kept draws in one
 stacked forward map and validates the frames in one pass of every
-`StiefelPoint`/`GrassmannPoint` check. In between, the target evaluates raw
+`StiefelPoint`/`GrassmannPoint` check. Only one hook reaches into a
+running chain: a sink for chain 0's kept draws, told the count of rows
+stored after each one, through which `experiments.DrawsWriter` has a
+second process format draws.csv while the chain runs. In between, the target evaluates raw
 vectors through the per-shape plan its constructor built; the random-walk
 scale vector is built once per run. Each chain also returns deterministic
 counters (`RunCounters`): steps, accepts, domain exits and target rows.
@@ -378,7 +381,7 @@ class _DualAveraging:
         return float(np.exp(self.log_averaged)) if self.m else self.step
 
 
-def _leapfrog_chains(target, states, proposal, run, rngs, coords):
+def _leapfrog_chains(target, states, proposal, run, rngs, coords, kept):
     """Leapfrog chains of a fixed path length, in lockstep; returns (scales, accepts, counters).
 
     The accepts are each chain's sampling-phase accepts.
@@ -390,7 +393,8 @@ def _leapfrog_chains(target, states, proposal, run, rngs, coords):
     dual averaging toward acceptance probability 0.7; afterwards the chain
     uses its averaged step. Every chain keeps its own generator, step and
     L_t, so each is the chain run alone; `_leapfrog_lockstep` advances
-    their trajectories together.
+    their trajectories together. Chain i's r-th kept vector goes to
+    coords[i][r - 1], and kept(r) is called once all the chains have stored it.
     """
     path = proposal.scale * proposal.leapfrog_steps
     max_steps = MAX_STEPS_FACTOR * proposal.leapfrog_steps
@@ -404,21 +408,25 @@ def _leapfrog_chains(target, states, proposal, run, rngs, coords):
                  for rng, scale in zip(rngs, scales)]
         before = states
         states = _leapfrog_lockstep(states, target, rngs, scales, steps)
+        n_kept, offset = divmod(t - run.burn_in + 1, run.thin)
+        keep = t >= run.burn_in and offset == 0
         for i, state in enumerate(states):
             if t < run.burn_in:
                 adapts[i].update(state.accept_prob)
                 scales[i] = adapts[i].step
             else:
                 sampling_accepts[i] += state.accept_count > before[i].accept_count
-                if (t - run.burn_in + 1) % run.thin == 0:
-                    coords[i, (t - run.burn_in + 1) // run.thin - 1] = state.vector
+                if keep:
+                    coords[i][n_kept - 1] = state.vector
+        if keep:
+            kept(n_kept)
     counters = [RunCounters(steps=state.step_count, accepts=state.accept_count,
                             domain_exits=state.exit_count, target_rows=state.eval_count)
                 for state in states]
     return scales, sampling_accepts, counters
 
 
-def _random_walk_chain(target, state, proposal, run, rng, coords):
+def _random_walk_chain(target, state, proposal, run, rng, coords, kept):
     """Random-walk steps with prefetch; returns (scale, sampling accepts, counters).
 
     The noise eps_t and the accept variate u_t of a random-walk step do not
@@ -430,6 +438,7 @@ def _random_walk_chain(target, state, proposal, run, rng, coords):
     the order `mh_step` draws it (eps_t, then u_t), and noise a block drew
     past its acceptance is kept for the next block, so the generator's
     stream, the scales and the chain are those of one `mh_step` per step.
+    The r-th kept vector goes to coords[r - 1], and then kept(r) is called.
     """
     c = coordinate_scales(target, proposal)
     burn_in, thin = run.burn_in, run.thin
@@ -470,6 +479,7 @@ def _random_walk_chain(target, state, proposal, run, rng, coords):
                 sampling_accepts += accepted
                 if (t - burn_in + 1) % thin == 0:
                     coords[(t - burn_in + 1) // thin - 1] = x
+                    kept((t - burn_in + 1) // thin)
             if accepted:
                 break
         used = j + 1
@@ -480,8 +490,12 @@ def _random_walk_chain(target, state, proposal, run, rng, coords):
     return scale, sampling_accepts, counters
 
 
+def _ignore_kept(count: int) -> None:
+    """The kept-row hook of a chain whose kept draws no one reads as they are made."""
+
+
 def run_chains(target: PullbackTarget, inits: np.ndarray, proposal: ProposalConfig,
-               run: RunConfig) -> list[SampleBatch]:
+               run: RunConfig, sink=None) -> list[SampleBatch]:
     """Chains from each row of `inits` (n, d): burn-in with scale adaptation, then sampling.
 
     Chain i draws from its own PCG64 generator seeded `run.seed + i`, and
@@ -504,6 +518,12 @@ def run_chains(target: PullbackTarget, inits: np.ndarray, proposal: ProposalConf
     `_leapfrog_chains`). Each chain's kept draws are mapped to frames after
     the chains, in one stacked forward map and one validation pass
     (`PullbackTarget.frames`); an invalid kept draw raises then.
+
+    `sink`, if given, takes chain 0's kept draws while the chains run: they
+    are stored in `sink.coords`, an (n_keep, d) array that becomes the
+    batch's `coords_draws`, and `sink.kept(r)` is called as soon as the
+    first r are stored. `experiments.DrawsWriter` is such a sink: a second
+    process formats draws.csv from it while the chain is still running.
     """
     inits = np.asarray(inits, dtype=float)
     if inits.ndim != 2 or not inits.shape[0] or inits.shape[1] != target.dim:
@@ -518,14 +538,21 @@ def run_chains(target: PullbackTarget, inits: np.ndarray, proposal: ProposalConf
     n = len(states)
     rngs = [np.random.Generator(np.random.PCG64(run.seed + i)) for i in range(n)]
     n_keep = (run.iterations - run.burn_in) // run.thin
-    coords = np.empty((n, n_keep, target.dim))
+    coords = [np.empty((n_keep, target.dim)) for _ in range(n)]
+    kept = _ignore_kept
+    if sink is not None:
+        if sink.coords.shape != (n_keep, target.dim):
+            raise ValueError(f"sink holds {sink.coords.shape} draws, the run keeps "
+                             f"{(n_keep, target.dim)}")
+        coords[0], kept = sink.coords, sink.kept
     if proposal.kind == "leapfrog":
         scales, sampling_accepts, counters = _leapfrog_chains(target, states, proposal, run, rngs,
-                                                              coords)
+                                                              coords, kept)
     else:
         scales, sampling_accepts, counters = zip(*(
-            _random_walk_chain(target, state, proposal, run, rng, chain_coords)
-            for state, rng, chain_coords in zip(states, rngs, coords)))
+            _random_walk_chain(target, state, proposal, run, rng, chain_coords,
+                               kept if i == 0 else _ignore_kept)
+            for i, (state, rng, chain_coords) in enumerate(zip(states, rngs, coords))))
     frames = [target.frames(chain_coords) for chain_coords in coords]
     return [SampleBatch(coords_draws=coords[i], manifold_draws=frames[i],
                         acceptance_rate=sampling_accepts[i] / (run.iterations - run.burn_in),
@@ -534,12 +561,12 @@ def run_chains(target: PullbackTarget, inits: np.ndarray, proposal: ProposalConf
 
 
 def run_chain(target: PullbackTarget, init: np.ndarray, proposal: ProposalConfig,
-              run: RunConfig) -> SampleBatch:
+              run: RunConfig, sink=None) -> SampleBatch:
     """One chain from `init` (d,), seeded `run.seed`: the one-chain case of `run_chains`."""
     init = np.atleast_1d(np.asarray(init, dtype=float))
     if init.shape != (target.dim,):
         raise ValueError(f"init has shape {init.shape}, expected ({target.dim},)")
-    return run_chains(target, init[None], proposal, run)[0]
+    return run_chains(target, init[None], proposal, run, sink)[0]
 
 
 def init_from_manifold(Q) -> np.ndarray:

@@ -380,3 +380,55 @@ class TestDrawsOnOneOrTwoCpus:
         assert one_cpu[0] == EXIT_OK and one_cpu[2] == b""
         assert sorted(one_cpu[3]) == ["draws.csv", "manifest.json", "report.json"]
         assert one_cpu == all_cpus
+
+
+def _src() -> str:
+    return str(Path(cli.__file__).resolve().parent.parent)
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    """The writer's child talks through pipes: multiprocessing would cost setup time."""
+    code = ("import sys, cayley_mcmc.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": _src()}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+class TestWriterChildWithBlasThreads:
+    """The writer's child maps frames (LAPACK and matmul) after a fork from a BLAS-threaded process.
+
+    `sample` runs in a fresh interpreter with two BLAS threads and with one,
+    each under a timeout that a deadlocked child would exceed, with
+    warnings shown; the fork is forced whatever the CPU count and file size.
+    """
+
+    RUN = ("import os, sys\n"
+           "from cayley_mcmc import cli, experiments\n"
+           "experiments.SPLIT_FLOOR_FLOATS = 1\n"
+           "experiments._usable_cpus = lambda: 2\n"
+           "forks, fork = [], os.fork\n"
+           "def counting_fork():\n"
+           "    forks.append(1)\n"
+           "    return fork()\n"
+           "os.fork = counting_fork\n"
+           "code = cli.parse_and_dispatch(sys.argv[1:])\n"
+           "print('forks', len(forks))\n"
+           "sys.exit(code)\n")
+
+    @pytest.mark.parametrize("manifold,p,k", [("stiefel", 50, 3), ("grassmann", 20, 4)])
+    def test_two_threads_and_one_write_the_same_file(self, tmp_path, manifold, p, k):
+        files = []
+        for threads in ("2", "1"):
+            out = tmp_path / threads
+            argv = ["sample", "--manifold", manifold, "--p", str(p), "--k", str(k),
+                    "--iters", "800", "--burn", "400", "--seed", "6", "--out", str(out)]
+            env = {**os.environ, "PYTHONPATH": _src(), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-W", "default", "-c", self.RUN, *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == EXIT_OK and proc.stderr == ""
+            assert proc.stdout.endswith("forks 1\n")
+            files.append((out / "draws.csv").read_bytes())
+        assert files[0] == files[1]

@@ -2,7 +2,10 @@
 
 import json
 import os
+import signal
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,10 @@ from cayley_mcmc.experiments import (
     write_draws_csv,
     write_report,
 )
-from cayley_mcmc.sampler import RunConfig, RunCounters, SampleBatch
+from cayley_mcmc.cayley import ManifoldDims
+from cayley_mcmc.densities import PullbackTarget, uniform_log_density
+from cayley_mcmc.errors import ConditioningError
+from cayley_mcmc.sampler import RunConfig, RunCounters, SampleBatch, default_proposal, run_chain
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmark"
 sys.path.insert(0, str(BENCH))
@@ -266,17 +272,17 @@ class TestFileFormats:
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_a_failing_part_raises_and_leaves_no_child_or_file(self, tmp_path, monkeypatch,
                                                                failing):
-        """The child's part starts past row 0, the parent's at it."""
-        write_rows = experiments._write_rows
+        """Every row is ready at once; the child's lines are those formatted in another process."""
+        lines, parent = experiments._lines, os.getpid()
 
-        def fail_in_one_part(fh, batch, rows):
-            if (rows.start > 0) == (failing == "child"):
+        def fail_in_one_part(coords, frames):
+            if (os.getpid() != parent) == (failing == "child"):
                 raise OSError(f"{failing} failed")
-            write_rows(fh, batch, rows)
+            return lines(coords, frames)
 
         monkeypatch.setattr(experiments, "SPLIT_FLOOR_FLOATS", 1)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(experiments, "_write_rows", fail_in_one_part)
+        monkeypatch.setattr(experiments, "_lines", fail_in_one_part)
         forks = self._count_forks(monkeypatch)
         expected = "exited with status 1" if failing == "child" else "parent failed"
         with pytest.raises(OSError, match=expected):
@@ -284,7 +290,7 @@ class TestFileFormats:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert [f.name for f in tmp_path.iterdir()] == ["draws.csv"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_json_excludes_runtime(self, tmp_path):
         report = ExperimentReport(name="x", config={"a": 1}, metrics={"m": 2.0})
@@ -298,3 +304,241 @@ class TestFileFormats:
         p1 = write_report(report, tmp_path / "one")
         p2 = write_report(report, tmp_path / "two")
         assert p1.read_text() == p2.read_text()
+
+
+def _uniform_chain(manifold, p, k, n_keep):
+    """A uniform target and a run of one burn-in step per kept draw, thinning 1."""
+    target = PullbackTarget(uniform_log_density(manifold), ManifoldDims(p, k))
+    return target, RunConfig(iterations=2 * n_keep, burn_in=n_keep, seed=n_keep)
+
+
+def _stream(path, target, run, manifold, pause=0.0):
+    """The chain's draws.csv through its streamed writer, as `sample` writes it; the batch.
+
+    `pause` seconds pass between the chain's end and the writing.
+    """
+    with experiments.DrawsWriter.for_chain(target, run) as writer:
+        batch = run_chain(target, np.zeros(target.dim), default_proposal(target), run,
+                          sink=writer)
+        time.sleep(pause)
+        write_draws_csv(path, batch, manifold, writer=writer)
+    return batch
+
+
+def _rows_of_this_process(monkeypatch):
+    """The row counts this process formats, one entry per `_lines` call made here."""
+    counts, lines, parent = [], experiments._lines, os.getpid()
+
+    def recording(coords, frames):
+        if os.getpid() == parent:
+            counts.append(len(coords))
+        return lines(coords, frames)
+
+    monkeypatch.setattr(experiments, "_lines", recording)
+    return counts
+
+
+@pytest.fixture
+def deadline():
+    """A writer that waits forever on its child fails its test after 60 s instead."""
+    def expire(signum, frame):
+        raise TimeoutError("the test outlived its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestStreamedDraws:
+    """draws.csv formatted by a child while the chain runs equals the per-row oracle."""
+
+    oracle = staticmethod(TestFileFormats._per_row_oracle)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+
+    # Kept counts past the real floor, a multiple of the chunk (100) or not.
+    @pytest.mark.parametrize("manifold,p,k,n_keep", [
+        ("stiefel", 50, 3, 400), ("stiefel", 50, 3, 437),
+        ("grassmann", 20, 4, 700), ("grassmann", 20, 4, 733)])
+    def test_file_equals_the_oracle_past_the_floor(self, tmp_path, monkeypatch, manifold, p, k,
+                                                   n_keep):
+        forks = TestFileFormats._count_forks(monkeypatch)
+        target, run = _uniform_chain(manifold, p, k, n_keep)
+        assert n_keep * (target.dim + p * k) >= experiments.SPLIT_FLOOR_FLOATS
+        batch = _stream(tmp_path / "draws.csv", target, run, manifold)
+        assert len(forks) == 1
+        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, manifold)
+        assert list(tmp_path.iterdir()) == [tmp_path / "draws.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("manifold,p,k", [("stiefel", 50, 3), ("grassmann", 20, 4)])
+    def test_fewer_rows_than_one_chunk(self, tmp_path, monkeypatch, manifold, p, k):
+        monkeypatch.setattr(experiments, "SPLIT_FLOOR_FLOATS", 1)
+        forks = TestFileFormats._count_forks(monkeypatch)
+        target, run = _uniform_chain(manifold, p, k, experiments.KEPT_CHUNK // 2 + 7)
+        batch = _stream(tmp_path / "draws.csv", target, run, manifold)
+        assert len(forks) == 1
+        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, manifold)
+
+    def test_a_lagging_child_leaves_this_process_the_later_half(self, tmp_path, monkeypatch):
+        """The child sleeps before each block: asked to stop, it is still at its first rows.
+
+        Every row is posted well before the ask (a 0.3 s pause), so a child
+        that looked for the ask only once it had caught up would write them all.
+        """
+        lines, parent = experiments._lines, os.getpid()
+
+        def slow_lines(coords, frames):
+            if os.getpid() != parent:
+                time.sleep(0.2)
+            return lines(coords, frames)
+
+        monkeypatch.setattr(experiments, "_lines", slow_lines)
+        ours = _rows_of_this_process(monkeypatch)
+        target, run = _uniform_chain("stiefel", 50, 3, 437)
+        batch = _stream(tmp_path / "draws.csv", target, run, "stiefel", pause=0.3)
+        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, "stiefel")
+        assert len(ours) == 1 and 437 // 4 < ours[0] <= (437 + 1) // 2
+
+    def test_a_slow_chain_leaves_the_child_most_rows(self, tmp_path, monkeypatch):
+        """The child formats rows as they are posted: behind a slow chain it keeps up."""
+        kept = experiments.DrawsWriter.kept
+
+        def slow_kept(writer, count):
+            time.sleep(0.002)
+            kept(writer, count)
+
+        monkeypatch.setattr(experiments.DrawsWriter, "kept", slow_kept)
+        ours = _rows_of_this_process(monkeypatch)
+        target, run = _uniform_chain("stiefel", 50, 3, 400)
+        batch = _stream(tmp_path / "draws.csv", target, run, "stiefel")
+        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, "stiefel")
+        assert len(ours) == 1 and ours[0] < 400 // 4
+
+    def test_a_child_with_every_row_written_waits_to_be_asked(self, tmp_path, monkeypatch):
+        """The child writes all 400 rows (a whole number of chunks) during the pause.
+
+        It must still wait for ASK_STOP and name its stop row, the last one.
+        """
+        ours = _rows_of_this_process(monkeypatch)
+        target, run = _uniform_chain("stiefel", 50, 3, 400)
+        batch = _stream(tmp_path / "draws.csv", target, run, "stiefel", pause=1.0)
+        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, "stiefel")
+        assert ours == [0]
+
+    def test_two_writers_alive_at_once(self, tmp_path, monkeypatch):
+        """The second writer's child inherits the first's post pipe; the first still stops."""
+        forks = TestFileFormats._count_forks(monkeypatch)
+        target, run = _uniform_chain("stiefel", 50, 3, 437)
+        with experiments.DrawsWriter.for_chain(target, run) as first, \
+                experiments.DrawsWriter.for_chain(target, run) as second:
+            for name, writer in (("first.csv", first), ("second.csv", second)):
+                batch = run_chain(target, np.zeros(target.dim), default_proposal(target), run,
+                                  sink=writer)
+                write_draws_csv(tmp_path / name, batch, "stiefel", writer=writer)
+                assert (tmp_path / name).read_bytes() == self.oracle(batch, "stiefel")
+        assert len(forks) == 2
+
+
+@pytest.mark.usefixtures("deadline")
+class TestStreamedDrawsErrors:
+    """A failing chain or child leaves no process, no spool and no draws.csv."""
+
+    SAMPLE = ["sample", "--p", "50", "--k", "3", "--iters", "600", "--burn", "200",
+              "--seed", "1", "--out"]
+
+    @pytest.fixture
+    def spool_dir(self, tmp_path, monkeypatch):
+        """The directory of unnamed temporary files, to show that none is left."""
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        return spool
+
+    @staticmethod
+    def _fail_after(monkeypatch, calls, error):
+        """PullbackTarget.rows raises `error` at its call `calls`, with draws kept already."""
+        rows, seen = PullbackTarget.rows, []
+
+        def failing(target, X):
+            seen.append(1)
+            if len(seen) == calls:
+                raise error
+            return rows(target, X)
+
+        monkeypatch.setattr(PullbackTarget, "rows", failing)
+
+    def _assert_nothing_left(self, forks, spool_dir):
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(spool_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [ConditioningError("S is singular"), KeyboardInterrupt()])
+    def test_sample_failing_mid_chain(self, tmp_path, monkeypatch, capsys, spool_dir, error):
+        """`sample` makes --out only after the chain, as before the writer streamed."""
+        forks = TestFileFormats._count_forks(monkeypatch)
+        self._fail_after(monkeypatch, 150, error)
+        out = tmp_path / "out"
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                parse_and_dispatch(self.SAMPLE + [str(out)])
+        else:
+            assert parse_and_dispatch(self.SAMPLE + [str(out)]) == 4
+            assert "S is singular" in capsys.readouterr().err
+        assert not out.exists()
+        self._assert_nothing_left(forks, spool_dir)
+
+    def test_uniform_exp_failing_mid_chain(self, tmp_path, monkeypatch, capsys, spool_dir):
+        """uniform-exp writes its manifest first, as before; no draws.csv or report follows."""
+        forks = TestFileFormats._count_forks(monkeypatch)
+        self._fail_after(monkeypatch, 150, ConditioningError("S is singular"))
+        out = tmp_path / "out"
+        argv = ["uniform-exp", "--p", "50", "--k", "3", "--draws", "400", "--thin", "1",
+                "--burn", "100", "--seed", "2", "--out", str(out)]
+        assert parse_and_dispatch(argv) == 4
+        assert [f.name for f in out.iterdir()] == ["manifest.json"]
+        self._assert_nothing_left(forks, spool_dir)
+
+    def test_a_child_whose_chain_process_is_gone_leaves(self, spool_dir):
+        """EOF on the post pipe, as when the chain's process dies, ends the child, status 1."""
+        target, run = _uniform_chain("stiefel", 50, 3, 437)
+        with experiments.DrawsWriter.for_chain(target, run) as writer:
+            os.close(writer._posts)
+            writer._posts = None
+            pid, writer._pid = writer._pid, None
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing_block", [1, 2])
+    def test_a_failing_child_raises_os_error(self, tmp_path, monkeypatch, spool_dir,
+                                             failing_block):
+        """The child fails at its first block, or at its second, after naming its stop row.
+
+        It spends 0.2 s on its first block, by which time it has been asked to stop.
+        """
+        lines, parent, blocks = experiments._lines, os.getpid(), []
+
+        def fail_in_child(coords, frames):
+            if os.getpid() != parent:
+                blocks.append(1)
+                if len(blocks) == failing_block:
+                    raise MemoryError("child failed")
+                time.sleep(0.2)
+            return lines(coords, frames)
+
+        monkeypatch.setattr(experiments, "_lines", fail_in_child)
+        forks = TestFileFormats._count_forks(monkeypatch)
+        target, run = _uniform_chain("stiefel", 50, 3, 437)
+        with pytest.raises(OSError, match="exited with status 1"):
+            _stream(tmp_path / "draws.csv", target, run, "stiefel")
+        assert not (tmp_path / "draws.csv").exists()
+        self._assert_nothing_left(forks, spool_dir)

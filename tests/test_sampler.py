@@ -536,6 +536,43 @@ class TestLockstepChains:
                 run_chains(target, inits, proposal, RunConfig(iterations=10, seed=0))
 
 
+class TestKeptRowSink:
+    """A sink takes chain 0's kept draws as they are made, and the chains do not change."""
+
+    class Recorder:
+        def __init__(self, n, d):
+            self.coords = np.empty((n, d))
+            self.counts, self.rows = [], []
+
+        def kept(self, count):
+            self.counts.append(count)
+            self.rows.append(self.coords[count - 1].copy())
+
+    @pytest.mark.parametrize("kind", ["random-walk-gaussian", "leapfrog"])
+    def test_each_row_is_stored_before_it_is_posted(self, kind):
+        """Two chains: random-walk ones run one after the other, leapfrog ones in lockstep."""
+        target = uniform_target(6, 2)
+        run = RunConfig(iterations=90, burn_in=30, thin=4, seed=3)  # 15 kept draws
+        proposal = ProposalConfig(kind=kind, scale=0.2, leapfrog_steps=3)
+        inits = np.stack([np.zeros(target.dim), np.full(target.dim, 0.1)])
+        sink = self.Recorder(15, target.dim)
+        batches = run_chains(target, inits, proposal, run, sink)
+        alone = run_chains(target, inits, proposal, run)
+        assert batches[0].coords_draws is sink.coords
+        assert sink.counts == list(range(1, 16))
+        assert np.array_equal(np.stack(sink.rows), alone[0].coords_draws)
+        for batch, other in zip(batches, alone):
+            assert np.array_equal(batch.coords_draws, other.coords_draws)
+            assert np.array_equal(batch.manifold_draws, other.manifold_draws)
+            assert batch.counters == other.counters
+
+    def test_rejects_a_sink_of_another_shape(self):
+        target = uniform_target()
+        with pytest.raises(ValueError, match="sink holds"):
+            run_chain(target, np.zeros(target.dim), ProposalConfig(),
+                      RunConfig(iterations=10, seed=0), sink=self.Recorder(9, target.dim))
+
+
 class TestPrefetchErrors:
     """Errors of prefetched rows surface only where the one-step chain would see them."""
 

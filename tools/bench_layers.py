@@ -22,14 +22,31 @@ speed for minutes at a time, so a single run per tree can mistake a slow
 phase for a regression. The column's ``min_us`` is the minimum over its runs,
 printed beside the median after each call: a layer whose processes settle
 into a fast or a slow mode compares by its minimum, not by the mode count.
+
+With ``--ops``, whole benchmark ops are timed instead, both trees in one
+process, so that a process's speed mode is shared by the two:
+
+    python3 tools/bench_layers.py --parent ../parent --ops uniform-rw grassmann-rw \
+        --out BENCH.json
+
+Both trees' packages are imported side by side (this tree's and the one
+under ``<parent>/src``). Each round runs the workload's op
+(``benchmark/workloads.py``: its command line, op seed 1000 * seed + round)
+once with each tree, the order alternating from round to round, after one
+untimed op per tree. Each round's ratio is the change's wall time over the
+parent's; the json's ``ops`` entry of the workload keeps every round's times
+and ratio, and their median and quartiles, and whether the quartiles
+exclude 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import sys
 import tempfile
@@ -70,6 +87,7 @@ LAYERS = {
                           "proposal's path scale * leapfrog_steps: a run_chain of "
                           "LEAPFROG_ITERATIONS with no burn-in, divided by them",
 }
+SRC = Path(__file__).resolve().parent.parent / "src"
 SHAPES = ((2, 1), (50, 3), (200, 5))
 MANIFOLDS = ("stiefel", "grassmann")
 BUDGET_S = 0.15  # time spent per measurement, after MIN_CALLS
@@ -257,16 +275,110 @@ def environment() -> dict:
     }
 
 
+def load_tree(src: Path) -> dict:
+    """The modules of the cayley_mcmc package under `src`, imported apart from any other tree's.
+
+    A module imported earlier by the same name leaves `sys.modules` first, so
+    each tree's modules hold only each other; the package imports no module
+    inside a function, so its calls never reach the other tree's.
+    """
+    def ours():
+        return {name: mod for name, mod in sys.modules.items()
+                if name == "cayley_mcmc" or name.startswith("cayley_mcmc.")}
+
+    for name in ours():
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        cli = importlib.import_module("cayley_mcmc.cli")
+    finally:
+        sys.path.remove(str(src))
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"imported {cli.__file__}, not the package under {src}")
+    return ours()
+
+
+def time_op(modules: dict, argv: list) -> float:
+    """Wall seconds of one CLI call with one tree's modules, its stdout silenced."""
+    sys.modules.update(modules)
+    with open(os.devnull, "w") as sink:
+        saved, sys.stdout = sys.stdout, sink
+        try:
+            start = time.perf_counter()
+            code = modules["cayley_mcmc.cli"].parse_and_dispatch(argv)
+            wall = time.perf_counter() - start
+        finally:
+            sys.stdout = saved
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited with {code}")
+    return wall
+
+
+def measure_ops(parent_src: Path, names: list, rounds: int, seed: int) -> dict:
+    """Per workload, `rounds` alternating pairs of op times and the change-over-parent ratios."""
+    trees = {"parent": load_tree(parent_src), "change": load_tree(SRC)}
+    sys.path.insert(0, str(SRC.parent / "benchmark"))
+    import workloads  # read only: the ops' command lines
+
+    results = {}
+    for name in names:
+        workload = workloads.WORKLOADS[name]
+        times = {"parent": [], "change": []}
+        with tempfile.TemporaryDirectory() as scratch:
+            def run(tree, index):
+                out = Path(scratch) / f"{tree}{index}"
+                wall = time_op(trees[tree], workload.argv(seed, 1000 * seed + index, out))
+                shutil.rmtree(out)
+                return wall
+
+            for tree in trees:
+                run(tree, 0)  # untimed: first calls fill caches
+            for index in range(rounds):
+                order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+                for tree in order:
+                    times[tree].append(run(tree, index))
+        ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+        results[name] = {
+            "parent_s": [round(t, 4) for t in times["parent"]],
+            "change_s": [round(t, 4) for t in times["change"]],
+            "ratios": [round(r, 4) for r in ratios],
+            "median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "quartiles_exclude_1": q3 < 1.0 or q1 > 1.0,
+            "change_faster_rounds": sum(r < 1.0 for r in ratios),
+        }
+        print(f"{name}: change / parent wall per round, median {median:.3f} "
+              f"(quartiles {q1:.3f}-{q3:.3f}), change faster in "
+              f"{results[name]['change_faster_rounds']} of {rounds}")
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--column", required=True, help="column name, e.g. parent or change")
+    parser.add_argument("--column", help="column name, e.g. parent or change")
     parser.add_argument("--out", required=True, type=Path, help="json file to create or update")
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+    parser.add_argument("--src", type=Path, default=SRC,
                         help="src directory of the tree to measure")
+    parser.add_argument("--ops", nargs="+", metavar="WORKLOAD",
+                        help="time these benchmark workloads' ops instead of the layers")
+    parser.add_argument("--parent", type=Path, help="checkout of the parent tree (with --ops)")
+    parser.add_argument("--rounds", type=int, default=10, help="pairs of ops per workload")
+    parser.add_argument("--seed", type=int, default=1, help="workload seed of the ops")
     args = parser.parse_args(argv)
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    if args.ops:
+        if args.parent is None or args.rounds < 2:
+            parser.error("--ops needs --parent and at least 2 --rounds")
+        ops = doc.setdefault("ops", {})
+        ops["unit"] = "seconds of wall time per op; ratio = change / parent per round"
+        ops["environment"] = environment()
+        ops.update(measure_ops((args.parent / "src").resolve(), args.ops, args.rounds, args.seed))
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+        return 0
+    if args.column is None:
+        parser.error("--column is required unless --ops is given")
     sys.path.insert(0, str(args.src.resolve()))
 
-    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc["unit"] = "microseconds per call, median"
     doc["layers"] = LAYERS
     column = doc.setdefault("columns", {}).setdefault(args.column, {"runs": []})
