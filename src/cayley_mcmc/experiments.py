@@ -457,7 +457,8 @@ class DrawsWriter:
             return
         self._post(ASK_STOP)
         answer = os.read(self._reply, 8)
-        with tempfile.TemporaryFile("w+") as tail:
+        # In the file's directory: --out exists now, and the system's may be in RAM.
+        with tempfile.TemporaryFile("w+", dir=path.parent) as tail:
             if answer:
                 stop = int.from_bytes(answer, "little")
                 tail.writelines(_lines(self.coords[stop:], batch.manifold_draws[stop:]))

@@ -540,5 +540,5 @@ class TestStreamedDrawsErrors:
         target, run = _uniform_chain("stiefel", 50, 3, 437)
         with pytest.raises(OSError, match="exited with status 1"):
             _stream(tmp_path / "draws.csv", target, run, "stiefel")
-        assert not (tmp_path / "draws.csv").exists()
+        assert [f.name for f in tmp_path.iterdir()] == ["spool"]
         self._assert_nothing_left(forks, spool_dir)

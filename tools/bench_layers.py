@@ -30,8 +30,8 @@ process, so that a process's speed mode is shared by the two:
         --out BENCH.json
 
 Both trees' packages are imported side by side (this tree's and the one
-under ``<parent>/src``). Each round runs the workload's op
-(``benchmark/workloads.py``: its command line, op seed 1000 * seed + round)
+under ``<parent>/src``). Each of OP_ROUNDS rounds runs the workload's op
+(``benchmark/workloads.py``: its command line at seed 1, op seed 1000 + round)
 once with each tree, the order alternating from round to round, after one
 untimed op per tree. Each round's ratio is the change's wall time over the
 parent's; the json's ``ops`` entry of the workload keeps every round's times
@@ -91,6 +91,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SHAPES = ((2, 1), (50, 3), (200, 5))
 MANIFOLDS = ("stiefel", "grassmann")
 BUDGET_S = 0.15  # time spent per measurement, after MIN_CALLS
+OP_ROUNDS = 20  # alternating pairs of ops per workload with --ops
+OP_SEED = 1  # workload seed of the ops
 MIN_CALLS = 7
 CHAIN_STEPS = 3000
 STACKS = (1, 8)
@@ -314,8 +316,8 @@ def time_op(modules: dict, argv: list) -> float:
     return wall
 
 
-def measure_ops(parent_src: Path, names: list, rounds: int, seed: int) -> dict:
-    """Per workload, `rounds` alternating pairs of op times and the change-over-parent ratios."""
+def measure_ops(parent_src: Path, names: list) -> dict:
+    """Per workload, OP_ROUNDS alternating pairs of op times and the change-over-parent ratios."""
     trees = {"parent": load_tree(parent_src), "change": load_tree(SRC)}
     sys.path.insert(0, str(SRC.parent / "benchmark"))
     import workloads  # read only: the ops' command lines
@@ -327,13 +329,13 @@ def measure_ops(parent_src: Path, names: list, rounds: int, seed: int) -> dict:
         with tempfile.TemporaryDirectory() as scratch:
             def run(tree, index):
                 out = Path(scratch) / f"{tree}{index}"
-                wall = time_op(trees[tree], workload.argv(seed, 1000 * seed + index, out))
+                wall = time_op(trees[tree], workload.argv(OP_SEED, 1000 * OP_SEED + index, out))
                 shutil.rmtree(out)
                 return wall
 
             for tree in trees:
                 run(tree, 0)  # untimed: first calls fill caches
-            for index in range(rounds):
+            for index in range(OP_ROUNDS):
                 order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
                 for tree in order:
                     times[tree].append(run(tree, index))
@@ -349,7 +351,7 @@ def measure_ops(parent_src: Path, names: list, rounds: int, seed: int) -> dict:
         }
         print(f"{name}: change / parent wall per round, median {median:.3f} "
               f"(quartiles {q1:.3f}-{q3:.3f}), change faster in "
-              f"{results[name]['change_faster_rounds']} of {rounds}")
+              f"{results[name]['change_faster_rounds']} of {OP_ROUNDS}")
     return results
 
 
@@ -362,17 +364,15 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", nargs="+", metavar="WORKLOAD",
                         help="time these benchmark workloads' ops instead of the layers")
     parser.add_argument("--parent", type=Path, help="checkout of the parent tree (with --ops)")
-    parser.add_argument("--rounds", type=int, default=10, help="pairs of ops per workload")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed of the ops")
     args = parser.parse_args(argv)
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     if args.ops:
-        if args.parent is None or args.rounds < 2:
-            parser.error("--ops needs --parent and at least 2 --rounds")
+        if args.parent is None:
+            parser.error("--ops needs --parent")
         ops = doc.setdefault("ops", {})
         ops["unit"] = "seconds of wall time per op; ratio = change / parent per round"
         ops["environment"] = environment()
-        ops.update(measure_ops((args.parent / "src").resolve(), args.ops, args.rounds, args.seed))
+        ops.update(measure_ops((args.parent / "src").resolve(), args.ops))
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
         return 0
     if args.column is None:
