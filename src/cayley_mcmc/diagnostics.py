@@ -68,14 +68,13 @@ def approx_inverse_cayley(M: np.ndarray) -> np.ndarray:
 
 def scale_matrix_apply(v: np.ndarray, p: int, k: int) -> np.ndarray:
     """Apply the diagonal scaling: sqrt(p/2) on the b block, sqrt(p) on the rest."""
+    dims = ManifoldDims(p, k)
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    n_b = k * (k - 1) // 2
-    d_v = p * k - k * (k + 1) // 2
-    if v.shape != (d_v,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({d_v},)")
+    if v.shape != (dims.d_v,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({dims.d_v},)")
     out = v.copy()
-    out[:n_b] *= np.sqrt(p / 2.0)
-    out[n_b:] *= np.sqrt(p)
+    out[:dims.n_b] *= np.sqrt(p / 2.0)
+    out[dims.n_b:] *= np.sqrt(p)
     return out
 
 

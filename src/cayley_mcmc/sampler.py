@@ -15,8 +15,8 @@ lockstep (`_leapfrog_lockstep`): each leapfrog position of all the chains
 still moving is one stacked fused call
 (`PullbackTarget.values_and_gradients`): at k x k sizes numpy's per-call
 overhead dominates, so a row added to a stack costs far less than a call.
-For the same reason positions and momenta are (n, d) stacks, and each
-position updates the moving rows with one call for each. Each
+Positions and momenta stay per-chain vectors: at two chains, whole-stack
+updates cost as much as the per-row calls they replace. Each
 chain keeps its own generator, its own dual-averaging step and its own
 trajectory length; a chain whose trajectory has ended, or left the
 domain, sits idle until the others finish theirs. Every stacked row
@@ -225,11 +225,12 @@ def _leapfrog_lockstep(states: list[ChainState], target: PullbackTarget,
     position where the target is -inf (a domain exit: rejected outright,
     with acceptance probability 0), sits idle.
 
-    Positions and momenta are (n, d) stacks with a column of steps eps, and
-    each position updates the moving rows with one `x + eps * mom` and one
-    `mom += c * G`, where c is eps, or 0.5 * eps at a chain's last (half)
-    step. Each element is the product and sum the chain alone computes, so
-    each result is the same, to the byte, as a lockstep of one.
+    Each chain's position and momentum are its own vectors. At each position
+    chain i's `x + eps * mom` is written into its row of the stacked call's
+    input, and its momentum steps to `mom + c * G`, its row of the stacked
+    gradient times c, where c is eps, or 0.5 * eps at the chain's last (half)
+    step. These are the products and sums the chain alone computes, so each
+    result is the same, to the byte, as a lockstep of one.
     """
     n = len(states)
     evals = [state.eval_count for state in states]
@@ -240,21 +241,12 @@ def _leapfrog_lockstep(states: list[ChainState], target: PullbackTarget,
             grad = target.gradient(state.vector)
             evals[i] += 1
         grad0.append(grad)
-    # Positions and momenta as (n, d) stacks, row i chain i's; eps is each row's step.
-    xs = np.stack([state.vector for state in states])
-    moms = np.empty_like(xs)
-    h0 = []
-    for state, rng, mom in zip(states, rngs, moms):
-        rng.standard_normal(out=mom)
+    xs = [state.vector for state in states]
+    h0, moms = [], []
+    for state, rng, scale, grad in zip(states, rngs, scales, grad0):
+        mom = rng.standard_normal(state.vector.shape[0])
         h0.append(-state.log_target + 0.5 * mom @ mom)
-    eps = np.array(scales)[:, None]
-    half = 0.5 * eps
-    moms += half * np.stack(grad0)
-    # Each position's momentum step per chain: eps, and eps / 2 at the chain's last (half) step.
-    coef = np.empty((max(steps), n, 1))
-    coef[:] = eps
-    for i, last in enumerate(steps):
-        coef[last - 1, i] = half[i]
+        moms.append(mom + 0.5 * scale * grad)
     # Each chain's value and gradient at its last position, where it stops.
     lps, grads = [0.0] * n, [None] * n
     exited = [False] * n
@@ -263,19 +255,20 @@ def _leapfrog_lockstep(states: list[ChainState], target: PullbackTarget,
         moving = [i for i in moving if step < steps[i] and not exited[i]]
         if not moving:
             break
-        # The moving rows, as a slice when they are contiguous (always, for two chains).
-        rows = slice(moving[0], moving[-1] + 1) if moving[-1] - moving[0] < len(moving) else moving
-        X = xs[rows] + eps[rows] * moms[rows]
-        xs[rows] = X
+        X = np.empty((len(moving), target.dim))
+        for row, i in enumerate(moving):
+            xs[i] = np.add(xs[i], scales[i] * moms[i], out=X[row])
         values, gradients = target.values_and_gradients(X)
-        moms[rows] += coef[step, rows] * gradients
         for row, (i, value) in enumerate(zip(moving, values.tolist())):
             if value == -np.inf:
-                # Left the domain mid-trajectory: reject outright. Its momentum, now NaN, is
-                # never read.
+                # Left the domain mid-trajectory: reject outright.
                 exited[i] = True
                 evals[i] += step + 1
-            elif step == steps[i] - 1:
+            elif step < steps[i] - 1:
+                moms[i] = moms[i] + scales[i] * gradients[row]
+            else:
+                # The last step is a half step.
+                moms[i] = moms[i] + 0.5 * scales[i] * gradients[row]
                 lps[i], grads[i] = value, gradients[row]
 
     new_states = []

@@ -66,6 +66,11 @@ class TestCoupling:
         assert out[0] == pytest.approx(np.sqrt(p / 2.0))
         assert np.allclose(out[1:], np.sqrt(p))
 
+    def test_scale_matrix_rejects_k_not_below_p(self):
+        # At p = k = 3 the b block alone has d_v = 3 entries; ManifoldDims rejects the shape.
+        with pytest.raises(ValueError, match="require 1 <= k < p, got p=3, k=3"):
+            scale_matrix_apply(np.ones(3), 3, 3)
+
     def test_epsilon_shrinks_with_p(self):
         rng = np.random.default_rng(4)
         med = []

@@ -1,56 +1,44 @@
-"""Per-layer timings of cayley_mcmc, written as one column of a BENCH json file.
+"""Paired timings of this tree of cayley_mcmc against a parent tree, by layer or by op.
 
-Each layer in LAYERS is timed at (p, k) in {(2, 1), (50, 3), (200, 5)} on
-both manifolds, as the median microseconds per call; `values_and_gradients`,
-`check_frames`, `value_and_grad_fn` and `leapfrog_iteration` only on the
-Bingham study's V(3,50), and `frames` and `draws_csv` only on the kept-draw
-stacks of uniform-rw and grassmann-rw.
+    python3 tools/bench_layers.py --parent ../parent --out BENCH.json
+    python3 tools/bench_layers.py --parent ../parent --ops bingham-hmc uniform-rw \\
+        grassmann-rw coupling --out BENCH.json
 
-Run it for each tree, in one session on one machine, into the same file,
-alternating the trees a few times:
+Both trees' packages are imported side by side in one process: this tree's
+(the change) and the one under ``<parent>/src``. Each tree's calls are built
+under its own modules from the same generator seeds. After one untimed call
+per tree, each of ROUNDS rounds times every layer (or op) once per tree, back
+to back, the tree that goes first alternating: a shared host changes speed
+for minutes at a time, and each process settles into a fast or a slow mode.
 
-    for round in 1 2 3 4 5; do
-        python3 tools/bench_layers.py --src ../parent/src --column parent --out BENCH.json
-        python3 tools/bench_layers.py --column change --out BENCH.json
-    done
+A layer (LAYERS) is timed as the median microseconds per call over BUDGET_S
+of calls, at each (p, k) of SHAPES on both manifolds unless LAYERS names its
+shape; a layer whose API one tree lacks is skipped and listed. An op is the
+workload's command line (``benchmark/workloads.py``) at workload seed
+OP_SEED and op seed 1000 * OP_SEED + round, timed in wall seconds, with the
+CPU seconds of the child processes it reaped (the draws writer's).
 
-``--src`` names the ``src`` directory whose package is measured (default:
-the one next to this script); a layer whose API a tree lacks is left out of
-that tree's column. Each call appends one run to its column, and the
-column's ``us`` is the median of its runs per layer: a shared host changes
-speed for minutes at a time, so a single run per tree can mistake a slow
-phase for a regression. The column's ``min_us`` is the minimum over its runs,
-printed beside the median after each call: a layer whose processes settle
-into a fast or a slow mode compares by its minimum, not by the mode count.
-
-With ``--ops``, whole benchmark ops are timed instead, both trees in one
-process, so that a process's speed mode is shared by the two:
-
-    python3 tools/bench_layers.py --parent ../parent --ops uniform-rw grassmann-rw \
-        --out BENCH.json
-
-Both trees' packages are imported side by side (this tree's and the one
-under ``<parent>/src``). Each of OP_ROUNDS rounds runs the workload's op
-(``benchmark/workloads.py``: its command line at seed 1, op seed 1000 + round)
-once with each tree, the order alternating from round to round, after one
-untimed op per tree. Each round's ratio is the change's wall time over the
-parent's; the json's ``ops`` entry of the workload keeps every round's times
-and ratio, and their median and quartiles, and whether the quartiles
-exclude 1.
+The json's ``layers`` (or ``ops``) section holds, per name, each tree's
+times in every round, each round's ratio change / parent, the ratios' median
+and quartiles, whether the quartiles exclude 1, and the number of rounds the
+change was faster.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 # Every solve is k x k: extra BLAS threads would only time the scheduler.
@@ -88,12 +76,13 @@ LAYERS = {
                           "LEAPFROG_ITERATIONS with no burn-in, divided by them",
 }
 SRC = Path(__file__).resolve().parent.parent / "src"
+TREES = ("parent", "change")
+ROUNDS = 20  # paired rounds per layer or op
 SHAPES = ((2, 1), (50, 3), (200, 5))
 MANIFOLDS = ("stiefel", "grassmann")
-BUDGET_S = 0.15  # time spent per measurement, after MIN_CALLS
-OP_ROUNDS = 20  # alternating pairs of ops per workload with --ops
-OP_SEED = 1  # workload seed of the ops
+BUDGET_S = 0.15  # time spent per layer measurement, after MIN_CALLS
 MIN_CALLS = 7
+OP_SEED = 1  # workload seed of the ops
 CHAIN_STEPS = 3000
 STACKS = (1, 8)
 FUSED_STACKS = (1, 2, 8)
@@ -103,47 +92,34 @@ LEAPFROG_BURN_IN = 50
 LEAPFROG_ITERATIONS = 20
 
 
-def median_us(fn, *args) -> float:
-    """Median wall time of fn(*args) in microseconds."""
+def median_us(call) -> float:
+    """Median wall time of call() in microseconds."""
     times = []
     spent = 0.0
     while len(times) < MIN_CALLS or spent < BUDGET_S:
         start = time.perf_counter()
-        fn(*args)
+        call()
         elapsed = time.perf_counter() - start
         times.append(elapsed)
         spent += elapsed
     return statistics.median(times) * 1e6
 
 
-def chain_step_us(sampler, target, x) -> float:
-    """Time of one `run_chain` call of CHAIN_STEPS random-walk steps, per step.
-
-    A tenth of the steps is burn-in, and every tenth step is kept, so the
-    time includes the scale adaptation and the kept-draw map.
-    """
-    run = sampler.RunConfig(iterations=CHAIN_STEPS, burn_in=CHAIN_STEPS // 10, thin=10, seed=1)
-    proposal = sampler.default_proposal(target)
-    return median_us(sampler.run_chain, target, x, proposal, run) / CHAIN_STEPS
-
-
-def leapfrog_iteration_us(np) -> float:
-    """Time per iteration of the Bingham study's leapfrog chain at its adapted step.
+def leapfrog_iteration_call(np, tree: dict):
+    """The Bingham study's leapfrog chain at its adapted step, as one run_chain call.
 
     Burn-in (LEAPFROG_BURN_IN iterations from the mode) adapts the step; the
     timed chain then runs LEAPFROG_ITERATIONS at that step with no burn-in,
     over trajectories of the proposal's path length, scale * leapfrog_steps.
     """
-    from cayley_mcmc import experiments, sampler
-    from cayley_mcmc.cayley import ManifoldDims
-    from cayley_mcmc.densities import BinghamParams, PullbackTarget, bingham_log_density
-
+    experiments, sampler = tree["cayley_mcmc.experiments"], tree["cayley_mcmc.sampler"]
+    densities = tree["cayley_mcmc.densities"]
     spec = experiments.SpikedDataSpec(n=100, p=50, k=3, sigma2=1.0,
                                       lam=np.array([5.0, 3.0, 1.5]), seed=1)
-    dims = ManifoldDims(spec.p, spec.k)
+    dims = tree["cayley_mcmc.cayley"].ManifoldDims(spec.p, spec.k)
     Y, _ = experiments.simulate_spiked_data(spec)
-    params = BinghamParams.from_data(Y, spec.sigma2, spec.lam)
-    target = PullbackTarget(bingham_log_density(params), dims)
+    params = densities.BinghamParams.from_data(Y, spec.sigma2, spec.lam)
+    target = densities.PullbackTarget(densities.bingham_log_density(params), dims)
     w, vecs = np.linalg.eigh(params.S)
     mode = experiments._safe_frame(vecs[:, np.argsort(w)[::-1][: spec.k]], dims)
     init = sampler.init_from_manifold(mode)
@@ -154,11 +130,11 @@ def leapfrog_iteration_us(np) -> float:
     steps = max(1, round(nominal.scale * nominal.leapfrog_steps / adapted))
     proposal = sampler.ProposalConfig(kind="leapfrog", scale=adapted, leapfrog_steps=steps)
     run = sampler.RunConfig(iterations=LEAPFROG_ITERATIONS, seed=2)
-    return median_us(sampler.run_chain, target, init, proposal, run) / LEAPFROG_ITERATIONS
+    return partial(sampler.run_chain, target, init, proposal, run)
 
 
-def all_rows(target, X) -> None:
-    value = target.rows(X)
+def all_rows(rows, X) -> None:
+    value = rows(X)
     for j in range(X.shape[0]):
         value(j)
 
@@ -173,82 +149,160 @@ def point_in_domain(np, rng, manifold: str, p: int, k: int):
     return np.concatenate([0.5 * rng.standard_normal(k * (k - 1) // 2), a_vec])
 
 
-def measure() -> dict:
+def layer_timers(tree: dict, scratch: Path) -> dict:
+    """Per layer, a timer of one tree's call: round -> {"us": median microseconds per call}.
+
+    A layer is left out when building its call raises AttributeError (the
+    tree lacks its API); its inputs are drawn first, so the others' still match.
+    """
     import numpy as np
 
-    from cayley_mcmc import experiments, sampler
-    from cayley_mcmc.cayley import (
-        ManifoldDims,
-        cayley_forward_grassmann,
-        cayley_forward_stiefel,
-        check_frames,
-    )
-    from cayley_mcmc.densities import (
-        BinghamParams,
-        PullbackTarget,
-        bingham_log_density,
-        uniform_log_density,
-    )
-    from cayley_mcmc.jacobian import log_jacobian_block_grassmann, log_jacobian_stiefel
+    cayley, densities = tree["cayley_mcmc.cayley"], tree["cayley_mcmc.densities"]
+    experiments, sampler = tree["cayley_mcmc.experiments"], tree["cayley_mcmc.sampler"]
+    jacobian = tree["cayley_mcmc.jacobian"]
+    timers = {}
 
-    forward = {"stiefel": cayley_forward_stiefel, "grassmann": cayley_forward_grassmann}
-    log_j = {"stiefel": log_jacobian_stiefel, "grassmann": log_jacobian_block_grassmann}
+    def add(name, make, per=1):
+        try:
+            call = make()
+        except AttributeError:
+            return
+        timers[name] = lambda _round: {"us": median_us(call) / per}
+
+    forward = {"stiefel": "cayley_forward_stiefel", "grassmann": "cayley_forward_grassmann"}
+    log_j = {"stiefel": "log_jacobian_stiefel", "grassmann": "log_jacobian_block_grassmann"}
     rng = np.random.default_rng(0)
-    layers = {}
     for p, k in SHAPES:
-        dims = ManifoldDims(p, k)
-        params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
-                                         np.linspace(3.0, 1.0, k))
+        dims = cayley.ManifoldDims(p, k)
+        params = densities.BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
+                                                   np.linspace(3.0, 1.0, k))
         for manifold in MANIFOLDS:
-            uniform = PullbackTarget(uniform_log_density(manifold), dims)
-            bingham = PullbackTarget(bingham_log_density(params, manifold), dims)
+            at = f"{manifold}.p{p}k{k}"
+            uniform = densities.PullbackTarget(densities.uniform_log_density(manifold), dims)
+            bingham = densities.PullbackTarget(densities.bingham_log_density(params, manifold),
+                                               dims)
             x = point_in_domain(np, rng, manifold, p, k)
             coords = uniform.coords(x)
-            row = {
-                "target.uniform": median_us(uniform, x),
-                "target.bingham": median_us(bingham, x),
-                "chain_step.uniform": chain_step_us(sampler, uniform, x),
-                "forward": median_us(forward[manifold], coords),
-                "log_j": median_us(log_j[manifold], coords),
-                "gradient.uniform": median_us(uniform.gradient, x),
-                "gradient.bingham": median_us(bingham.gradient, x),
-            }
-            if hasattr(uniform, "value_and_gradient"):
-                row["value_and_gradient.uniform"] = median_us(uniform.value_and_gradient, x)
-                row["value_and_gradient.bingham"] = median_us(bingham.value_and_gradient, x)
-            if hasattr(uniform, "rows"):
-                for m in STACKS:
-                    X = np.stack([point_in_domain(np, rng, manifold, p, k) for _ in range(m)])
-                    row[f"rows.m{m}.uniform"] = median_us(all_rows, uniform, X)
-            if hasattr(uniform, "values_and_gradients") and (manifold, p, k) == FUSED_SHAPE:
-                # Its own generator, so that the points of every other layer match the parent's.
+            run = sampler.RunConfig(iterations=CHAIN_STEPS, burn_in=CHAIN_STEPS // 10, thin=10,
+                                    seed=1)
+            add(f"target.uniform.{at}", lambda: partial(uniform, x))
+            add(f"target.bingham.{at}", lambda: partial(bingham, x))
+            add(f"chain_step.uniform.{at}", lambda: partial(
+                sampler.run_chain, uniform, x, sampler.default_proposal(uniform), run),
+                per=CHAIN_STEPS)
+            add(f"forward.{at}", lambda: partial(getattr(cayley, forward[manifold]), coords))
+            add(f"log_j.{at}", lambda: partial(getattr(jacobian, log_j[manifold]), coords))
+            add(f"gradient.uniform.{at}", lambda: partial(uniform.gradient, x))
+            add(f"gradient.bingham.{at}", lambda: partial(bingham.gradient, x))
+            add(f"value_and_gradient.uniform.{at}", lambda: partial(uniform.value_and_gradient, x))
+            add(f"value_and_gradient.bingham.{at}", lambda: partial(bingham.value_and_gradient, x))
+            for m in STACKS:
+                X = np.stack([point_in_domain(np, rng, manifold, p, k) for _ in range(m)])
+                add(f"rows.m{m}.uniform.{at}", lambda: partial(all_rows, uniform.rows, X))
+            if (manifold, p, k) == FUSED_SHAPE:
+                # Its own generator, so that the points of every other layer stay as they were.
                 fused_rng = np.random.default_rng(1)
                 for m in FUSED_STACKS:
                     X = np.stack([point_in_domain(np, fused_rng, manifold, p, k)
                                   for _ in range(m)])
-                    row[f"values_and_gradients.m{m}.uniform"] = median_us(
-                        uniform.values_and_gradients, X)
-                    row[f"values_and_gradients.m{m}.bingham"] = median_us(
-                        bingham.values_and_gradients, X)
-                    Q = bingham.frames(X)
-                    row[f"check_frames.m{m}"] = median_us(check_frames, Q)
-                    row[f"value_and_grad_fn.m{m}.bingham"] = median_us(
-                        bingham.g.value_and_grad_fn, Q)
-            for layer, us in row.items():
-                layers[f"{layer}.{manifold}.p{p}k{k}"] = round(us, 2)
+                    add(f"values_and_gradients.m{m}.uniform.{at}",
+                        lambda: partial(uniform.values_and_gradients, X))
+                    add(f"values_and_gradients.m{m}.bingham.{at}",
+                        lambda: partial(bingham.values_and_gradients, X))
+                    add(f"check_frames.m{m}.{at}",
+                        lambda: partial(cayley.check_frames, bingham.frames(X)))
+                    add(f"value_and_grad_fn.m{m}.bingham.{at}",
+                        lambda: partial(bingham.g.value_and_grad_fn, bingham.frames(X)))
     frames_rng = np.random.default_rng(2)  # its own generator, as for the fused layers
     for manifold, p, k, m in FRAMES_STACKS:
-        target = PullbackTarget(uniform_log_density(manifold), ManifoldDims(p, k))
+        at = f"m{m}.{manifold}.p{p}k{k}"
+        target = densities.PullbackTarget(densities.uniform_log_density(manifold),
+                                          cayley.ManifoldDims(p, k))
         X = np.stack([point_in_domain(np, frames_rng, manifold, p, k) for _ in range(m)])
-        Q = target.frames(X)
-        layers[f"frames.m{m}.{manifold}.p{p}k{k}"] = round(median_us(target.frames, X), 2)
-        batch = sampler.SampleBatch(coords_draws=X, manifold_draws=Q, acceptance_rate=0.0,
-                                    final_scale=0.0, counters=None)
-        with tempfile.TemporaryDirectory() as directory:
-            layers[f"draws_csv.m{m}.{manifold}.p{p}k{k}"] = round(median_us(
-                experiments.write_draws_csv, Path(directory) / "draws.csv", batch, manifold), 2)
-    layers["leapfrog_iteration.bingham.stiefel.p50k3"] = round(leapfrog_iteration_us(np), 2)
-    return layers
+        add(f"frames.{at}", lambda: partial(target.frames, X))
+        add(f"draws_csv.{at}", lambda: partial(
+            experiments.write_draws_csv, scratch / f"{manifold}.csv",
+            sampler.SampleBatch(coords_draws=X, manifold_draws=target.frames(X),
+                                acceptance_rate=0.0, final_scale=0.0, counters=None),
+            manifold))
+    add("leapfrog_iteration.bingham.stiefel.p50k3", lambda: leapfrog_iteration_call(np, tree),
+        per=LEAPFROG_ITERATIONS)
+    return timers
+
+
+def time_op(modules: dict, workload, scratch: Path, index: int) -> dict:
+    """One op of `workload` with one tree's modules, its stdout silenced.
+
+    Returns its wall seconds and the user and system CPU seconds of the
+    child processes it reaped.
+    """
+    out = scratch / "op"
+    argv = workload.argv(OP_SEED, 1000 * OP_SEED + index, out)
+    sys.modules.update(modules)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        start = time.perf_counter()
+        code = modules["cayley_mcmc.cli"].parse_and_dispatch(argv)
+        wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited with {code}")
+    shutil.rmtree(out)
+    child_cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {"s": wall, "child_cpu_s": child_cpu}
+
+
+def paired_rounds(timers: dict, rounds: int) -> tuple[dict, list]:
+    """Each tree's measurements in every round, for the names both trees time.
+
+    `timers[tree][name](round)` returns a dict of measurements. After one
+    untimed call per name and tree, each round calls every name's two timers
+    back to back, the parent first in even rounds and the change first in odd
+    ones. Returns {name: {tree: {measurement: [value per round]}}} and the
+    sorted names that only one tree has.
+    """
+    names = [name for name in timers["parent"] if name in timers["change"]]
+    skipped = sorted(set(timers["parent"]) ^ set(timers["change"]))
+    runs = {name: {tree: {} for tree in TREES} for name in names}
+    for name in names:
+        for tree in TREES:
+            timers[tree][name](0)  # untimed: first calls fill caches
+    for index in range(rounds):
+        for name in names:
+            for tree in (TREES if index % 2 == 0 else TREES[::-1]):
+                for measurement, value in timers[tree][name](index).items():
+                    runs[name][tree].setdefault(measurement, []).append(value)
+        print(f"round {index + 1} of {rounds}", file=sys.stderr, flush=True)
+    return runs, skipped
+
+
+def summary(parent: list, change: list) -> dict:
+    """The per-round ratios change / parent, their median and quartiles, and the change's wins."""
+    ratios = [c / p for c, p in zip(change, parent)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {
+        "ratios": [round(r, 4) for r in ratios],
+        "median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+        "quartiles_exclude_1": q3 < 1.0 or q1 > 1.0,
+        "change_faster_rounds": sum(r < 1.0 for r in ratios),
+    }
+
+
+def compare(timers: dict, unit: str) -> dict:
+    """The paired rounds of every name both trees time, each summarized by its `unit` times."""
+    runs, skipped = paired_rounds(timers, ROUNDS)
+    results = {}
+    for name, trees in runs.items():
+        entry = {tree: {measurement: [round(v, 4) for v in values]
+                        for measurement, values in trees[tree].items()} for tree in TREES}
+        entry.update(summary(trees["parent"][unit], trees["change"][unit]))
+        results[name] = entry
+        print(f"{name:<48} change / parent {entry['median']:.3f} "
+              f"({entry['q1']:.3f}-{entry['q3']:.3f}), "
+              f"faster in {entry['change_faster_rounds']} of {len(entry['ratios'])}")
+    for name in skipped:
+        print(f"{name:<48} skipped: only one tree has it")
+    return {"skipped": skipped, "results": results}
 
 
 def environment() -> dict:
@@ -300,98 +354,39 @@ def load_tree(src: Path) -> dict:
     return ours()
 
 
-def time_op(modules: dict, argv: list) -> float:
-    """Wall seconds of one CLI call with one tree's modules, its stdout silenced."""
-    sys.modules.update(modules)
-    with open(os.devnull, "w") as sink:
-        saved, sys.stdout = sys.stdout, sink
-        try:
-            start = time.perf_counter()
-            code = modules["cayley_mcmc.cli"].parse_and_dispatch(argv)
-            wall = time.perf_counter() - start
-        finally:
-            sys.stdout = saved
-    if code != 0:
-        raise SystemExit(f"{argv[0]} exited with {code}")
-    return wall
-
-
-def measure_ops(parent_src: Path, names: list) -> dict:
-    """Per workload, OP_ROUNDS alternating pairs of op times and the change-over-parent ratios."""
-    trees = {"parent": load_tree(parent_src), "change": load_tree(SRC)}
-    sys.path.insert(0, str(SRC.parent / "benchmark"))
-    import workloads  # read only: the ops' command lines
-
-    results = {}
-    for name in names:
-        workload = workloads.WORKLOADS[name]
-        times = {"parent": [], "change": []}
-        with tempfile.TemporaryDirectory() as scratch:
-            def run(tree, index):
-                out = Path(scratch) / f"{tree}{index}"
-                wall = time_op(trees[tree], workload.argv(OP_SEED, 1000 * OP_SEED + index, out))
-                shutil.rmtree(out)
-                return wall
-
-            for tree in trees:
-                run(tree, 0)  # untimed: first calls fill caches
-            for index in range(OP_ROUNDS):
-                order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-                for tree in order:
-                    times[tree].append(run(tree, index))
-        ratios = [c / p for c, p in zip(times["change"], times["parent"])]
-        q1, median, q3 = statistics.quantiles(ratios, n=4)
-        results[name] = {
-            "parent_s": [round(t, 4) for t in times["parent"]],
-            "change_s": [round(t, 4) for t in times["change"]],
-            "ratios": [round(r, 4) for r in ratios],
-            "median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
-            "quartiles_exclude_1": q3 < 1.0 or q1 > 1.0,
-            "change_faster_rounds": sum(r < 1.0 for r in ratios),
-        }
-        print(f"{name}: change / parent wall per round, median {median:.3f} "
-              f"(quartiles {q1:.3f}-{q3:.3f}), change faster in "
-              f"{results[name]['change_faster_rounds']} of {OP_ROUNDS}")
-    return results
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--column", help="column name, e.g. parent or change")
-    parser.add_argument("--out", required=True, type=Path, help="json file to create or update")
-    parser.add_argument("--src", type=Path, default=SRC,
-                        help="src directory of the tree to measure")
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="checkout of the parent tree, whose src is compared with this one's")
     parser.add_argument("--ops", nargs="+", metavar="WORKLOAD",
-                        help="time these benchmark workloads' ops instead of the layers")
-    parser.add_argument("--parent", type=Path, help="checkout of the parent tree (with --ops)")
+                        help="time these benchmark workloads' ops in place of the layers")
+    parser.add_argument("--out", required=True, type=Path, help="json file to create or update")
     args = parser.parse_args(argv)
-    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    if args.ops:
-        if args.parent is None:
-            parser.error("--ops needs --parent")
-        ops = doc.setdefault("ops", {})
-        ops["unit"] = "seconds of wall time per op; ratio = change / parent per round"
-        ops["environment"] = environment()
-        ops.update(measure_ops((args.parent / "src").resolve(), args.ops))
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
-        return 0
-    if args.column is None:
-        parser.error("--column is required unless --ops is given")
-    sys.path.insert(0, str(args.src.resolve()))
+    start = time.perf_counter()
+    trees = {"parent": load_tree((args.parent / "src").resolve()), "change": load_tree(SRC)}
+    with tempfile.TemporaryDirectory() as scratch:
+        if args.ops:
+            sys.path.insert(0, str(SRC.parent / "benchmark"))
+            import workloads  # read only: the ops' command lines
 
-    doc["unit"] = "microseconds per call, median"
-    doc["layers"] = LAYERS
-    column = doc.setdefault("columns", {}).setdefault(args.column, {"runs": []})
-    column["environment"] = environment()
-    column["runs"].append(measure())
-    runs = column["runs"]
-    column["us"] = {layer: round(statistics.median(run[layer] for run in runs), 2)
-                    for layer in runs[0]}
-    column["min_us"] = {layer: min(run[layer] for run in runs) for layer in runs[0]}
+            timers = {tree: {name: partial(time_op, modules, workloads.WORKLOADS[name],
+                                           Path(scratch)) for name in args.ops}
+                      for tree, modules in trees.items()}
+            section = compare(timers, "s")
+            section["unit"] = ("s: wall seconds per op; child_cpu_s: CPU seconds of the "
+                               "op's reaped children; ratio = change / parent per round")
+        else:
+            timers = {tree: layer_timers(modules, Path(scratch))
+                      for tree, modules in trees.items()}
+            section = compare(timers, "us")
+            section["unit"] = ("us: median microseconds per call in one measurement; "
+                               "ratio = change / parent per round")
+            section["descriptions"] = LAYERS
+    section["environment"] = environment()
+    section["wall_s"] = round(time.perf_counter() - start, 1)
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    doc["ops" if args.ops else "layers"] = section
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"{args.column}, {len(runs)} runs: median and minimum us per call")
-    for layer, us in column["us"].items():
-        print(f"  {layer:<48} {us:>12.2f} {column['min_us'][layer]:>12.2f}")
     return 0
 
 
