@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import orjson
 from scipy import stats
 
 from .cayley import ManifoldDims, StiefelPoint
@@ -289,19 +290,28 @@ def run_normal_approx_experiment(k: int, p_grid, replicates: int, seed: int,
 
 
 # A file of at least this many numbers is formatted by two processes. A fork
-# round trip (fork, the child's _exit, waitpid) was measured at 3.5-4.7 ms
-# (10 ms at worst) in a 108 MB process after a uniform-exp op, and `repr`
-# formats a float in 0.6-1.2 us (2 vCPUs, Python 3.11). The child formats
-# rows while the chain still runs, and half of those left when it ends, so
-# it pays from about 2 x 5 ms / 0.9 us = 11 000 numbers on; the floor leaves
-# a ten-fold margin for the copy-on-write faults the chain takes while the
-# child lives and for the copies of the spool and the tail into the file.
+# round trip (fork, the child's _exit, waitpid) was measured at 4.1-7.6 ms
+# (3.5-10 ms over earlier runs) in a 110 MB process after a uniform-exp op,
+# and `_lines` formats a number in 0.07-0.16 us, 7.5-10 times faster than
+# `repr` in paired timings (2 vCPUs, Python 3.11, orjson 3.8); both costs
+# rise together in the host's slow phases. The child formats rows while the
+# chain still runs and half of those left when it ends, so it saves between
+# half and all of the formatting: it pays from between about 55 000 numbers
+# (4.3 ms / 0.08 us, or 7.4 ms / 0.135 us) and twice that on. The floor sits
+# in that range; every floor from 55 000 to 250 000 forks for uniform-rw
+# (594 000 numbers) and grassmann-rw (259 200) and leaves bingham-hmc
+# (29 700) in one process.
 SPLIT_FLOOR_FLOATS = 100_000
 
 # Kept rows per post from the chain to the writing child, and per stacked
 # frame map in the child. A post is one 8-byte pipe write, and 100 rows of
-# V(3,50) take the child about 20 ms to format.
+# V(3,50) take about 2-4 ms to format.
 KEPT_CHUNK = 100
+# Numbers per orjson call in `_lines` (at least one row). Its text takes about
+# 20 bytes a number, and the rows split from it as much again: blocks of 100
+# V(3,50) rows raised the peak RSS of a process formatting 200 by 1.6-2.1 MB,
+# blocks of 4 096 numbers (13 rows) by at most 0.15 MB, at the same speed.
+FORMAT_NUMBERS = 4096
 # The post that asks the child for its stop row; every other post is a count
 # of stored rows. Not EOF: a child forked by another writer meanwhile holds a
 # copy of this pipe's write end, which would delay the EOF until it exits.
@@ -322,10 +332,31 @@ def _in_two_processes(numbers: int) -> bool:
 
 
 def _lines(coords: np.ndarray, frames: np.ndarray):
-    """The CSV line of each draw: coordinates, then the frame flattened column-major."""
-    for x, Q in zip(coords, frames):
-        yield ",".join(map(repr, np.concatenate([x, Q.reshape(-1, order="F")]).tolist())) + "\n"
+    """The CSV line of each draw, as bytes: coordinates, then the frame flattened column-major.
 
+    The numbers are Python's shortest round-trip `repr`. orjson prints the
+    same digits 7.5-10 times faster, one call per block of at most
+    FORMAT_NUMBERS numbers; the numbers it may spell differently (non-finite,
+    or below 1e-4 or from 1e16 up in magnitude) are put back with `repr`.
+    """
+    step = max(1, FORMAT_NUMBERS // (coords.shape[1] + frames.shape[1] * frames.shape[2]))
+    for start in range(0, len(coords), step):
+        x, Q = coords[start:start + step], frames[start:start + step]
+        block = np.concatenate([x, Q.transpose(0, 2, 1).reshape(len(Q), -1)], axis=1)
+        # "[[row],[row]]": each row's text follows a "[" and ends "]," or, the last, "]]".
+        # (A split at one byte is faster than one at "],[".)
+        rows = [row[:-2] for row in
+                orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).split(b"[")[2:]]
+        size = np.abs(block)
+        # NaN fails both tests, so it is respelled too; so is 0, spelled alike.
+        respell = ~((size >= 1e-4) & (size < 1e16))
+        for i in np.flatnonzero(respell.any(axis=1)):
+            fields = rows[i].split(b",")
+            for j in np.flatnonzero(respell[i]):
+                fields[j] = repr(float(block[i, j])).encode()
+            rows[i] = b",".join(fields)
+        for row in rows:
+            yield row + b"\n"
 
 
 class DrawsWriter:
@@ -391,7 +422,7 @@ class DrawsWriter:
     def _fork(self) -> None:
         posts, self._posts = os.pipe()
         self._reply, reply = os.pipe()
-        self._spool = tempfile.TemporaryFile("w+")
+        self._spool = tempfile.TemporaryFile()
         # Python 3.12 warns at a fork in a process with threads (BLAS pools
         # here), which would change stderr, or under -W error lose the
         # child's pid. The child's BLAS calls are tested under two threads.
@@ -449,16 +480,16 @@ class DrawsWriter:
         path = Path(path)
         d = self.coords.shape[1]
         p, k = batch.manifold_draws.shape[1:]
-        header = f"# manifold={manifold} p={p} k={k} n_coords={d}\n"
+        header = f"# manifold={manifold} p={p} k={k} n_coords={d}\n".encode()
         if self._pid is None:
-            with path.open("w") as fh:
+            with path.open("wb") as fh:
                 fh.write(header)
                 fh.writelines(_lines(self.coords, batch.manifold_draws))
             return
         self._post(ASK_STOP)
         answer = os.read(self._reply, 8)
         # In the file's directory: --out exists now, and the system's may be in RAM.
-        with tempfile.TemporaryFile("w+", dir=path.parent) as tail:
+        with tempfile.TemporaryFile(dir=path.parent) as tail:
             if answer:
                 stop = int.from_bytes(answer, "little")
                 tail.writelines(_lines(self.coords[stop:], batch.manifold_draws[stop:]))
@@ -468,10 +499,10 @@ class DrawsWriter:
                 raise OSError(f"the process writing draws exited with status "
                               f"{os.waitstatus_to_exitcode(status)}")
             with path.open("wb") as fh:
-                fh.write(header.encode())
+                fh.write(header)
                 for part in (self._spool, tail):
                     part.seek(0)
-                    shutil.copyfileobj(part.buffer, fh)
+                    shutil.copyfileobj(part, fh)
 
     def close(self) -> None:
         """Kill and reap a child still running; close the pipes and the spool."""

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cayley_mcmc import experiments
 from cayley_mcmc.cli import parse_and_dispatch
@@ -304,6 +307,69 @@ class TestFileFormats:
         p1 = write_report(report, tmp_path / "one")
         p2 = write_report(report, tmp_path / "two")
         assert p1.read_text() == p2.read_text()
+
+
+# Any double, by its bits (NaN payloads included), or by hypothesis's floats,
+# which favour subnormals, infinities and the edges of the exponent range.
+_DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(width=64))
+# Where orjson's spelling and repr's meet: below 1e-4 and from 1e16 up, repr
+# writes an exponent.
+_EDGES = [float(np.nextafter(1e-4, 0)), 1e-4, 9999999999999998.0, 1e16, 0.0, -0.0, 5e-324]
+
+
+class TestLines:
+    """`_lines`, the one formatter of draws.csv, against the per-row `repr` oracle."""
+
+    @staticmethod
+    def _assert_oracle_lines(coords, frames):
+        batch = SampleBatch(coords, frames, acceptance_rate=0.5, final_scale=0.1,
+                            counters=RunCounters(steps=0, accepts=0, domain_exits=0,
+                                                 target_rows=0))
+        expected = TestFileFormats._per_row_oracle(batch, "stiefel").splitlines(True)[1:]
+        assert list(experiments._lines(coords, frames)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(7 + 10)),
+                      elements=_DOUBLES))
+    def test_any_doubles_match_repr(self, block):
+        """A V(2,5) row: 7 coordinates, then a 5 x 2 frame flattened column-major."""
+        m = len(block)
+        frames = block[:, 7:].reshape(m, 2, 5).transpose(0, 2, 1)
+        self._assert_oracle_lines(block[:, :7].copy(), frames.copy())
+
+    def test_edge_values_in_several_rows_and_columns(self, monkeypatch):
+        """Respelled numbers in different columns of several rows, over three orjson calls."""
+        monkeypatch.setattr(experiments, "FORMAT_NUMBERS", 8 * 17)
+        rng = np.random.default_rng(5)
+        m = 20
+        coords, frames = rng.standard_normal((m, 7)), rng.standard_normal((m, 5, 2))
+        edges = _EDGES + [-x for x in _EDGES] + [np.nan, np.inf, -np.inf, 7.48e-05, 4.3e-06]
+        for n, x in enumerate(edges):
+            row, col = n % m, (3 * n) % 17
+            if col < 7:
+                coords[row, col] = x
+            else:
+                frames[row, (col - 7) % 5, (col - 7) // 5] = x
+        coords[m - 2, [0, 3, 6]] = [1e-300, -2e20, 3e-5]
+        self._assert_oracle_lines(coords, frames)
+
+    @pytest.mark.parametrize("p,k,rows_per_call", [(5, 2, 4096 // 17), (50, 3, 13), (80, 60, 1)])
+    def test_at_most_format_numbers_per_call(self, monkeypatch, p, k, rows_per_call):
+        """orjson formats FORMAT_NUMBERS numbers at a time, or one row past that width."""
+        dumps, shapes = experiments.orjson.dumps, []
+
+        def recording(block, option):
+            shapes.append(block.shape)
+            return dumps(block, option=option)
+
+        monkeypatch.setattr(experiments.orjson, "dumps", recording)
+        monkeypatch.setattr(experiments, "FORMAT_NUMBERS", 4096)
+        m, d = 2 * rows_per_call + 1, p * k - k * (k + 1) // 2
+        rng = np.random.default_rng(6)
+        self._assert_oracle_lines(rng.standard_normal((m, d)), rng.standard_normal((m, p, k)))
+        assert shapes == [(rows_per_call, d + p * k)] * 2 + [(1, d + p * k)]
 
 
 def _uniform_chain(manifold, p, k, n_keep):
