@@ -194,7 +194,7 @@ def _cmd_sample(cfg: dict) -> int:
     run = RunConfig(iterations=cfg["iters"], burn_in=cfg["burn"], thin=cfg["thin"], seed=cfg["seed"])
     out = Path(cfg["out"])
     # --out is made only once the chain has succeeded; the writer needs no directory before.
-    with DrawsWriter.for_chain(target, run) as draws:
+    with DrawsWriter(target, run) as draws:
         batch = run_chain(target, np.zeros(target.dim), proposal, run, sink=draws)
         _write_manifest(out, "sample", cfg)
         write_draws_csv(out / "draws.csv", batch, manifold=cfg["manifold"], writer=draws)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import mmap
 import os
-import select
 import shutil
 import signal
 import tempfile
@@ -20,7 +19,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import orjson
@@ -289,16 +288,15 @@ def run_normal_approx_experiment(k: int, p_grid, replicates: int, seed: int,
     return report
 
 
-# A file of at least this many numbers is formatted by two processes. A fork
-# round trip (fork, the child's _exit, waitpid) was measured at 4.1-7.6 ms
+# A file of at least this many numbers is formatted by a second process. A
+# fork round trip (fork, the child's _exit, waitpid) was measured at 4.1-7.6 ms
 # (3.5-10 ms over earlier runs) in a 110 MB process after a uniform-exp op,
 # and `_lines` formats a number in 0.07-0.16 us, 7.5-10 times faster than
 # `repr` in paired timings (2 vCPUs, Python 3.11, orjson 3.8); both costs
-# rise together in the host's slow phases. The child formats rows while the
-# chain still runs and half of those left when it ends, so it saves between
-# half and all of the formatting: it pays from between about 55 000 numbers
-# (4.3 ms / 0.08 us, or 7.4 ms / 0.135 us) and twice that on. The floor sits
-# in that range; every floor from 55 000 to 250 000 forks for uniform-rw
+# rise together in the host's slow phases. The child formats every row while
+# the chain runs, so it saves all of the formatting: it pays from about
+# 55 000 numbers (4.3 ms / 0.08 us, or 7.4 ms / 0.135 us). The floor sits
+# above that; every floor from 55 000 to 250 000 forks for uniform-rw
 # (594 000 numbers) and grassmann-rw (259 200) and leaves bingham-hmc
 # (29 700) in one process.
 SPLIT_FLOOR_FLOATS = 100_000
@@ -312,10 +310,6 @@ KEPT_CHUNK = 100
 # V(3,50) rows raised the peak RSS of a process formatting 200 by 1.6-2.1 MB,
 # blocks of 4 096 numbers (13 rows) by at most 0.15 MB, at the same speed.
 FORMAT_NUMBERS = 4096
-# The post that asks the child for its stop row; every other post is a count
-# of stored rows. Not EOF: a child forked by another writer meanwhile holds a
-# copy of this pipe's write end, which would delay the EOF until it exits.
-ASK_STOP = -1
 
 
 def _usable_cpus() -> int:
@@ -324,11 +318,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return 1
-
-
-def _in_two_processes(numbers: int) -> bool:
-    """Whether a draws file of `numbers` numbers is formatted by a second process."""
-    return numbers >= SPLIT_FLOOR_FLOATS and _usable_cpus() >= 2
 
 
 def _lines(coords: np.ndarray, frames: np.ndarray):
@@ -359,48 +348,47 @@ def _lines(coords: np.ndarray, frames: np.ndarray):
             yield row + b"\n"
 
 
+def _write_file(path, batch: SampleBatch, manifold: str, spool=None) -> None:
+    """draws.csv at `path`: the header, then the spool's lines, or every row formatted here."""
+    d = batch.coords_draws.shape[1]
+    p, k = batch.manifold_draws.shape[1:]
+    with Path(path).open("wb") as fh:
+        fh.write(f"# manifold={manifold} p={p} k={k} n_coords={d}\n".encode())
+        if spool is None:
+            fh.writelines(_lines(batch.coords_draws, batch.manifold_draws))
+        else:
+            spool.seek(0)
+            shutil.copyfileobj(spool, fh)
+
+
 class DrawsWriter:
-    """The lines of draws.csv, formatted by a second process as a chain keeps the draws.
+    """The sink of the draws one chain of `run` keeps on `target`, and the lines of draws.csv.
 
-    `coords` (n, d) holds the draws: all of them from the start (`ready` =
-    n), or, as the sink of `run_chains` (`for_chain`), the rows a chain
-    keeps, each announced by `kept(r)` once stored. `frames_of(rows)` gives
-    the frames of `coords[rows]` for a slice `rows`.
-
-    With `fork`, a child forked at construction formats the rows from row 0
-    on into an unnamed spool file as they are posted, every KEPT_CHUNK rows,
-    and maps each block of them to frames with `frames_of`; it blocks only
-    when it has caught up. Rows are independent, so a block's frames are
-    the same bits as the chain's one stacked map. `write` posts ASK_STOP;
-    the child then names the row it stops at, half-way through the rows it
-    has not written, and goes on up to it, while this process
-    formats the rows from there on from the batch's validated frames. The
-    file is the header, the spool and those rows, written only once the
-    child has exited with status 0. Without `fork`, `write` formats every
-    row itself.
+    The chain stores each kept row in `coords` (n, d) and calls `kept(r)`
+    once the first r are stored. When the file will hold at least
+    SPLIT_FLOOR_FLOATS numbers and the process may run on two CPUs or more,
+    a child forked at construction formats every row into an unnamed spool
+    file as the rows are posted, every KEPT_CHUNK rows: it reads them from a
+    shared mapping, maps each block of them to frames, blocks on the pipe
+    only when it has caught up, and exits with status 0 after the last row.
+    Rows are independent, so a block's frames are the same bits as the
+    chain's one stacked map. `write` reaps the child and writes the header
+    and then the spool, only once the child has exited with status 0.
+    Otherwise `write` formats every row itself from the batch's frames.
 
     Leaving the writer's `with` block kills and reaps a child still
     running, so a chain that raises leaves no process and no file behind.
     """
 
-    def __init__(self, coords: np.ndarray, frames_of: Callable[[slice], np.ndarray],
-                 ready: int, fork: bool):
-        self.coords = coords
-        self._frames_of = frames_of
-        self._ready = ready
-        self._pid = self._posts = self._reply = self._spool = None
-        if fork:
-            self._fork()
-
-    @classmethod
-    def for_chain(cls, target: PullbackTarget, run: RunConfig) -> "DrawsWriter":
-        """The sink of the draws one chain of `run` keeps on `target`; no row is ready yet."""
+    def __init__(self, target: PullbackTarget, run: RunConfig):
         n, d = (run.iterations - run.burn_in) // run.thin, target.dim
-        fork = _in_two_processes(n * (d + target.dims.p * target.dims.k))
+        self._pid = self._posts = self._spool = None
+        if n * (d + target.dims.p * target.dims.k) < SPLIT_FLOOR_FLOATS or _usable_cpus() < 2:
+            self.coords = np.empty((n, d))
+            return
         # Shared with the child, which reads each row the chain stores.
-        coords = (np.frombuffer(mmap.mmap(-1, n * d * 8)).reshape(n, d) if fork
-                  else np.empty((n, d)))
-        return cls(coords, lambda rows: target._frames(coords[rows]), 0, fork)
+        self.coords = np.frombuffer(mmap.mmap(-1, n * d * 8)).reshape(n, d)
+        self._fork(target)
 
     def __enter__(self) -> "DrawsWriter":
         return self
@@ -411,17 +399,13 @@ class DrawsWriter:
     def kept(self, count: int) -> None:
         """The first `count` rows are stored: posted at each KEPT_CHUNK and at the last row."""
         if self._posts is not None and (count % KEPT_CHUNK == 0 or count == len(self.coords)):
-            self._post(count)
+            try:
+                os.write(self._posts, count.to_bytes(8, "little"))
+            except BrokenPipeError:
+                pass  # the child has died; `write` raises with its exit status
 
-    def _post(self, message: int) -> None:
-        try:
-            os.write(self._posts, message.to_bytes(8, "little", signed=True))
-        except BrokenPipeError:
-            pass  # the child has died; `write` raises with its exit status
-
-    def _fork(self) -> None:
+    def _fork(self, target: PullbackTarget) -> None:
         posts, self._posts = os.pipe()
-        self._reply, reply = os.pipe()
         self._spool = tempfile.TemporaryFile()
         # Python 3.12 warns at a fork in a process with threads (BLAS pools
         # here), which would change stderr, or under -W error lose the
@@ -434,86 +418,54 @@ class DrawsWriter:
             try:
                 # With the parent's end closed here too, EOF means the parent is gone.
                 os.close(self._posts)
-                os.close(self._reply)
-                self._format_posted(posts, reply)
+                self._format_posted(target, posts)
                 code = 0
             finally:
                 # Flushes no buffer it inherited (stdout), runs no exit handler.
                 os._exit(code)
         self._pid = pid
         os.close(posts)
-        os.close(reply)
 
-    def _format_posted(self, posts: int, reply: int) -> None:
-        """The child's part: rows from 0 on as they are posted, up to the row it names.
+    def _format_posted(self, target: PullbackTarget, posts: int) -> None:
+        """The child's part: every row, as it is posted.
 
-        It names that row when ASK_STOP comes and leaves only there, or, with
-        status 1, at EOF: the parent is gone.
+        It leaves after the last row, or, with status 1, at EOF before it:
+        the parent is gone.
         """
-        ready, row, stop = self._ready, 0, None
-        lines, block_end = None, 0
-        while stop is None or row < stop:
-            if stop is None and select.select([posts], [], [], 0 if row < ready else None)[0]:
-                # Whole 8-byte posts: a pipe write that small is atomic.
-                message = os.read(posts, 4096)
-                if not message:
-                    raise EOFError("the process running the chain has gone")
-                posted = [int.from_bytes(message[i:i + 8], "little", signed=True)
-                          for i in range(0, len(message), 8)]
-                ready = max(ready, *posted)
-                if posted[-1] == ASK_STOP:  # nothing is posted after it
-                    stop = row + (ready - row) // 2
-                    os.write(reply, stop.to_bytes(8, "little"))
-                continue
-            if row == block_end:
-                block_end = min(ready if stop is None else stop, row + KEPT_CHUNK)
-                rows = slice(row, block_end)
-                lines = _lines(self.coords[rows], self._frames_of(rows))
-            self._spool.write(next(lines))
-            row += 1
+        row = 0
+        while row < len(self.coords):
+            message = os.read(posts, 4096)
+            if not message:
+                raise EOFError("the process running the chain has gone")
+            # Whole 8-byte posts, a pipe write that small being atomic; the last is the largest.
+            ready = int.from_bytes(message[-8:], "little")
+            for start in range(row, ready, KEPT_CHUNK):
+                block = self.coords[start:min(ready, start + KEPT_CHUNK)]
+                self._spool.writelines(_lines(block, target._frames(block)))
+            row = ready
         self._spool.flush()
 
     def write(self, path, batch: SampleBatch, manifold: str) -> None:
         """draws.csv at `path`: the header, then one line per draw of `batch`."""
         if batch.coords_draws is not self.coords:
             raise ValueError("the batch's draws are not the rows this writer holds")
-        path = Path(path)
-        d = self.coords.shape[1]
-        p, k = batch.manifold_draws.shape[1:]
-        header = f"# manifold={manifold} p={p} k={k} n_coords={d}\n".encode()
-        if self._pid is None:
-            with path.open("wb") as fh:
-                fh.write(header)
-                fh.writelines(_lines(self.coords, batch.manifold_draws))
-            return
-        self._post(ASK_STOP)
-        answer = os.read(self._reply, 8)
-        # In the file's directory: --out exists now, and the system's may be in RAM.
-        with tempfile.TemporaryFile(dir=path.parent) as tail:
-            if answer:
-                stop = int.from_bytes(answer, "little")
-                tail.writelines(_lines(self.coords[stop:], batch.manifold_draws[stop:]))
+        if self._pid is not None:
             status = os.waitpid(self._pid, 0)[1]
             self._pid = None
-            if status or not answer:
+            if status:
                 raise OSError(f"the process writing draws exited with status "
                               f"{os.waitstatus_to_exitcode(status)}")
-            with path.open("wb") as fh:
-                fh.write(header)
-                for part in (self._spool, tail):
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh)
+        _write_file(path, batch, manifold, self._spool)
 
     def close(self) -> None:
-        """Kill and reap a child still running; close the pipes and the spool."""
+        """Kill and reap a child still running; close the pipe and the spool."""
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
-        for fd in (self._posts, self._reply):
-            if fd is not None:
-                os.close(fd)
-        self._posts = self._reply = None
+        if self._posts is not None:
+            os.close(self._posts)
+            self._posts = None
         if self._spool is not None:
             self._spool.close()
             self._spool = None
@@ -521,23 +473,20 @@ class DrawsWriter:
 
 def _draws_sink(target: PullbackTarget, run: RunConfig, out_dir):
     """A `DrawsWriter` for chain 0 when draws.csv is written, else a context of None."""
-    return DrawsWriter.for_chain(target, run) if out_dir is not None else nullcontext()
+    return DrawsWriter(target, run) if out_dir is not None else nullcontext()
 
 
 def write_draws_csv(path, batch: SampleBatch, manifold: str,
                     writer: Optional[DrawsWriter] = None) -> None:
     """One row per retained draw: coordinates, then flattened Q (column-major).
 
-    `writer` is the `DrawsWriter` that the chain of `batch` filled, which
-    may have formatted rows already. Without one, every row is ready at
-    once: a file of at least `SPLIT_FLOOR_FLOATS` numbers, written by a
-    process that may run on two CPUs or more, is formatted by a child forked
-    here and by this process, half each. The bytes are the same either way.
+    `writer` is the `DrawsWriter` that the chain of `batch` filled, whose
+    child may have formatted every row already. Without one, this process
+    formats every row. The bytes are the same either way.
     """
     if writer is None:
-        frames = batch.manifold_draws
-        writer = DrawsWriter(batch.coords_draws, frames.__getitem__, len(frames),
-                             _in_two_processes(batch.coords_draws.size + frames.size))
+        _write_file(path, batch, manifold)
+        return
     with writer:
         writer.write(path, batch, manifold)
 

@@ -23,6 +23,15 @@ domain, sits idle until the others finish theirs. Every stacked row
 equals its one-row call bit for bit, so each chain's draws equal, to the
 byte, the chain run alone, and a single chain is the lockstep of one.
 
+The random walk prefetches instead; its chains run one after the other.
+Its noise does not depend on the chain's state, so from the current state
+the next LOOKAHEAD proposals on the all-reject path are known; one stacked
+target call (`PullbackTarget.rows`) evaluates them, and the steps take the
+rows in order up to the first acceptance. The generator's stream and every
+draw equal those of one `mh_step` per step, which stays the one-step
+kernel (and the tests' oracle). A row's errors surface only if the chain
+reaches it.
+
 The proposal kind fixes both the step function and the acceptance rate
 that burn-in tunes the scale toward: 0.3 for the random walk, 0.7 for
 leapfrog. The random walk adapts by Robbins-Monro on the accept
@@ -34,25 +43,17 @@ driven by the row's acceptance probability, cannot give. Randomness comes
 from numpy's PCG64 generator seeded explicitly, so runs are deterministic
 given (seed, config, target).
 
-The random walk prefetches instead; its chains run one after the other. Its
-noise does not depend on the chain's
-state, so from the current state the next LOOKAHEAD proposals on the
-all-reject path are known; one stacked target call (`PullbackTarget.rows`)
-evaluates them, and the steps take the rows in order up to the first
-acceptance. The generator's stream and every draw equal those of one
-`mh_step` per step, which stays the one-step kernel (and the tests'
-oracle). A row's errors surface only if the chain reaches it.
-
 Validation happens at the boundary, once: `run_chains` checks the initial
 vectors' shape, and after the chains maps each chain's kept draws in one
 stacked forward map and validates the frames in one pass of every
 `StiefelPoint`/`GrassmannPoint` check. Only one hook reaches into a
 running chain: a sink for chain 0's kept draws, told the count of rows
 stored after each one, through which `experiments.DrawsWriter` has a
-second process format draws.csv while the chain runs. In between, the target evaluates raw
-vectors through the per-shape plan its constructor built; the random-walk
-scale vector is built once per run. Each chain also returns deterministic
-counters (`RunCounters`): steps, accepts, domain exits and target rows.
+second process format every row of draws.csv while the chain runs. In
+between, the target evaluates raw vectors through the per-shape plan its
+constructor built; the random-walk scale vector is built once per run.
+Each chain also returns deterministic counters (`RunCounters`): steps,
+accepts, domain exits and target rows.
 """
 
 from __future__ import annotations
@@ -515,8 +516,9 @@ def run_chains(target: PullbackTarget, inits: np.ndarray, proposal: ProposalConf
     `sink`, if given, takes chain 0's kept draws while the chains run: they
     are stored in `sink.coords`, an (n_keep, d) array that becomes the
     batch's `coords_draws`, and `sink.kept(r)` is called as soon as the
-    first r are stored. `experiments.DrawsWriter` is such a sink: a second
-    process formats draws.csv from it while the chain is still running.
+    first r are stored. `experiments.DrawsWriter` is such a sink: for a file
+    past its size floor, a second process formats every row of draws.csv
+    from it while the chain is still running.
     """
     inits = np.asarray(inits, dtype=float)
     if inits.ndim != 2 or not inits.shape[0] or inits.shape[1] != target.dim:

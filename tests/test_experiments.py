@@ -219,7 +219,7 @@ class TestFileFormats:
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     @pytest.mark.parametrize("floor", ["real", 1])
     def test_writer_matches_the_per_row_oracle(self, tmp_path, monkeypatch, n, floor):
-        """With the floor at one number, every batch that holds a row is split."""
+        """Without a writer this process formats every row: it never forks, whatever the floor."""
         if floor != "real":
             monkeypatch.setattr(experiments, "SPLIT_FLOOR_FLOATS", floor)
             monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
@@ -228,17 +228,18 @@ class TestFileFormats:
         path = tmp_path / "draws.csv"
         write_draws_csv(path, batch, manifold="stiefel")
         assert path.read_bytes() == self._per_row_oracle(batch, "stiefel")
-        assert len(forks) == (1 if floor != "real" and n > 0 else 0)
+        assert forks == []
         assert [f.name for f in tmp_path.iterdir()] == ["draws.csv"]
 
+    @pytest.mark.usefixtures("deadline")
     @pytest.mark.parametrize("n,splits", [(4, False), (5, True)])
     def test_floor_counts_the_numbers_in_the_file(self, tmp_path, monkeypatch, n, splits):
         """A row of V(2,5) holds 7 coordinates and 10 frame entries: 5 rows reach a floor of 85."""
         monkeypatch.setattr(experiments, "SPLIT_FLOOR_FLOATS", 85)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         forks = self._count_forks(monkeypatch)
-        batch = self._synthetic(n, seed=3)
-        write_draws_csv(tmp_path / "draws.csv", batch, manifold="stiefel")
+        target, run = _uniform_chain("stiefel", 5, 2, n)
+        batch = _stream(tmp_path / "draws.csv", target, run, "stiefel")
         assert (tmp_path / "draws.csv").read_bytes() == self._per_row_oracle(batch, "stiefel")
         assert len(forks) == int(splits)
 
@@ -254,46 +255,26 @@ class TestFileFormats:
         return batch
 
     def test_writer_above_the_real_floor_matches_the_oracle(self, tmp_path, monkeypatch):
+        """Without a writer, a file past the floor is formatted in this process too."""
         forks = self._count_forks(monkeypatch)
         batch = self._above_the_floor()
         path = tmp_path / "draws.csv"
         write_draws_csv(path, batch, manifold="stiefel")
         assert path.read_bytes() == self._per_row_oracle(batch, "stiefel")
-        assert len(forks) == (1 if experiments._usable_cpus() >= 2 else 0)
+        assert forks == []
         assert [f.name for f in tmp_path.iterdir()] == ["draws.csv"]
 
     def test_one_cpu_writes_in_one_process(self, tmp_path, monkeypatch):
+        """A chain's writer past the real floor forks no child on one CPU."""
         def no_fork():
             raise AssertionError("forked on one CPU")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "fork", no_fork)
-        batch = self._above_the_floor()
-        write_draws_csv(tmp_path / "draws.csv", batch, manifold="stiefel")
+        target, run = _uniform_chain("stiefel", 50, 3, 400)
+        assert 400 * (target.dim + 150) >= experiments.SPLIT_FLOOR_FLOATS
+        batch = _stream(tmp_path / "draws.csv", target, run, "stiefel")
         assert (tmp_path / "draws.csv").read_bytes() == self._per_row_oracle(batch, "stiefel")
-
-    @pytest.mark.parametrize("failing", ["child", "parent"])
-    def test_a_failing_part_raises_and_leaves_no_child_or_file(self, tmp_path, monkeypatch,
-                                                               failing):
-        """Every row is ready at once; the child's lines are those formatted in another process."""
-        lines, parent = experiments._lines, os.getpid()
-
-        def fail_in_one_part(coords, frames):
-            if (os.getpid() != parent) == (failing == "child"):
-                raise OSError(f"{failing} failed")
-            return lines(coords, frames)
-
-        monkeypatch.setattr(experiments, "SPLIT_FLOOR_FLOATS", 1)
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(experiments, "_lines", fail_in_one_part)
-        forks = self._count_forks(monkeypatch)
-        expected = "exited with status 1" if failing == "child" else "parent failed"
-        with pytest.raises(OSError, match=expected):
-            write_draws_csv(tmp_path / "draws.csv", self._synthetic(40), manifold="stiefel")
-        assert len(forks) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert list(tmp_path.iterdir()) == []
 
     def test_report_json_excludes_runtime(self, tmp_path):
         report = ExperimentReport(name="x", config={"a": 1}, metrics={"m": 2.0})
@@ -378,15 +359,11 @@ def _uniform_chain(manifold, p, k, n_keep):
     return target, RunConfig(iterations=2 * n_keep, burn_in=n_keep, seed=n_keep)
 
 
-def _stream(path, target, run, manifold, pause=0.0):
-    """The chain's draws.csv through its streamed writer, as `sample` writes it; the batch.
-
-    `pause` seconds pass between the chain's end and the writing.
-    """
-    with experiments.DrawsWriter.for_chain(target, run) as writer:
+def _stream(path, target, run, manifold):
+    """The chain's draws.csv through its streamed writer, as `sample` writes it; the batch."""
+    with experiments.DrawsWriter(target, run) as writer:
         batch = run_chain(target, np.zeros(target.dim), default_proposal(target), run,
                           sink=writer)
-        time.sleep(pause)
         write_draws_csv(path, batch, manifold, writer=writer)
     return batch
 
@@ -452,11 +429,12 @@ class TestStreamedDraws:
         assert len(forks) == 1
         assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, manifold)
 
-    def test_a_lagging_child_leaves_this_process_the_later_half(self, tmp_path, monkeypatch):
-        """The child sleeps before each block: asked to stop, it is still at its first rows.
+    @pytest.mark.parametrize("slow", ["child", "chain"])
+    def test_this_process_formats_no_row(self, tmp_path, monkeypatch, slow):
+        """The child formats every row, whether it lags the chain or waits on it.
 
-        Every row is posted well before the ask (a 0.3 s pause), so a child
-        that looked for the ask only once it had caught up would write them all.
+        A slow child sleeps 0.2 s before each block, so the chain ends long
+        before the child has caught up; a slow chain sleeps 2 ms at each row.
         """
         lines, parent = experiments._lines, os.getpid()
 
@@ -465,45 +443,57 @@ class TestStreamedDraws:
                 time.sleep(0.2)
             return lines(coords, frames)
 
-        monkeypatch.setattr(experiments, "_lines", slow_lines)
-        ours = _rows_of_this_process(monkeypatch)
-        target, run = _uniform_chain("stiefel", 50, 3, 437)
-        batch = _stream(tmp_path / "draws.csv", target, run, "stiefel", pause=0.3)
-        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, "stiefel")
-        assert len(ours) == 1 and 437 // 4 < ours[0] <= (437 + 1) // 2
-
-    def test_a_slow_chain_leaves_the_child_most_rows(self, tmp_path, monkeypatch):
-        """The child formats rows as they are posted: behind a slow chain it keeps up."""
         kept = experiments.DrawsWriter.kept
 
         def slow_kept(writer, count):
             time.sleep(0.002)
             kept(writer, count)
 
-        monkeypatch.setattr(experiments.DrawsWriter, "kept", slow_kept)
+        if slow == "child":
+            monkeypatch.setattr(experiments, "_lines", slow_lines)
+        else:
+            monkeypatch.setattr(experiments.DrawsWriter, "kept", slow_kept)
         ours = _rows_of_this_process(monkeypatch)
-        target, run = _uniform_chain("stiefel", 50, 3, 400)
-        batch = _stream(tmp_path / "draws.csv", target, run, "stiefel")
-        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, "stiefel")
-        assert len(ours) == 1 and ours[0] < 400 // 4
-
-    def test_a_child_with_every_row_written_waits_to_be_asked(self, tmp_path, monkeypatch):
-        """The child writes all 400 rows (a whole number of chunks) during the pause.
-
-        It must still wait for ASK_STOP and name its stop row, the last one.
-        """
-        ours = _rows_of_this_process(monkeypatch)
-        target, run = _uniform_chain("stiefel", 50, 3, 400)
-        batch = _stream(tmp_path / "draws.csv", target, run, "stiefel", pause=1.0)
-        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, "stiefel")
-        assert ours == [0]
-
-    def test_two_writers_alive_at_once(self, tmp_path, monkeypatch):
-        """The second writer's child inherits the first's post pipe; the first still stops."""
         forks = TestFileFormats._count_forks(monkeypatch)
         target, run = _uniform_chain("stiefel", 50, 3, 437)
-        with experiments.DrawsWriter.for_chain(target, run) as first, \
-                experiments.DrawsWriter.for_chain(target, run) as second:
+        batch = _stream(tmp_path / "draws.csv", target, run, "stiefel")
+        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, "stiefel")
+        assert len(forks) == 1 and ours == []
+
+    def test_the_child_exits_by_itself_after_the_last_row(self, tmp_path):
+        """Once the chain has posted its last row, the child ends with status 0, before `write`."""
+        target, run = _uniform_chain("stiefel", 50, 3, 437)
+        with experiments.DrawsWriter(target, run) as writer:
+            batch = run_chain(target, np.zeros(target.dim), default_proposal(target), run,
+                              sink=writer)
+            pid, writer._pid = writer._pid, None
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            write_draws_csv(tmp_path / "draws.csv", batch, "stiefel", writer=writer)
+        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, "stiefel")
+
+    @pytest.mark.parametrize("floor", ["real", 1])
+    def test_a_batch_of_other_draws_is_refused(self, tmp_path, monkeypatch, floor):
+        """A writer writes only the rows its chain stored, with a child or without one."""
+        if floor != "real":
+            monkeypatch.setattr(experiments, "SPLIT_FLOOR_FLOATS", floor)
+        forks = TestFileFormats._count_forks(monkeypatch)
+        target, run = _uniform_chain("stiefel", 5, 2, 7)
+        batch = run_chain(target, np.zeros(target.dim), default_proposal(target), run)
+        writer = experiments.DrawsWriter(target, run)
+        with pytest.raises(ValueError,
+                           match="^the batch's draws are not the rows this writer holds$"):
+            write_draws_csv(tmp_path / "draws.csv", batch, "stiefel", writer=writer)
+        assert len(forks) == (0 if floor == "real" else 1)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_two_writers_alive_at_once(self, tmp_path, monkeypatch):
+        """The second writer's child inherits the first's post pipe; the first still exits."""
+        forks = TestFileFormats._count_forks(monkeypatch)
+        target, run = _uniform_chain("stiefel", 50, 3, 437)
+        with experiments.DrawsWriter(target, run) as first, \
+                experiments.DrawsWriter(target, run) as second:
             for name, writer in (("first.csv", first), ("second.csv", second)):
                 batch = run_chain(target, np.zeros(target.dim), default_proposal(target), run,
                                   sink=writer)
@@ -576,7 +566,7 @@ class TestStreamedDrawsErrors:
     def test_a_child_whose_chain_process_is_gone_leaves(self, spool_dir):
         """EOF on the post pipe, as when the chain's process dies, ends the child, status 1."""
         target, run = _uniform_chain("stiefel", 50, 3, 437)
-        with experiments.DrawsWriter.for_chain(target, run) as writer:
+        with experiments.DrawsWriter(target, run) as writer:
             os.close(writer._posts)
             writer._posts = None
             pid, writer._pid = writer._pid, None
@@ -587,10 +577,7 @@ class TestStreamedDrawsErrors:
     @pytest.mark.parametrize("failing_block", [1, 2])
     def test_a_failing_child_raises_os_error(self, tmp_path, monkeypatch, spool_dir,
                                              failing_block):
-        """The child fails at its first block, or at its second, after naming its stop row.
-
-        It spends 0.2 s on its first block, by which time it has been asked to stop.
-        """
+        """The child fails at its first block, or at its second, which it reaches 0.2 s in."""
         lines, parent, blocks = experiments._lines, os.getpid(), []
 
         def fail_in_child(coords, frames):

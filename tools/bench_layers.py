@@ -69,7 +69,8 @@ LAYERS = {
               "check_frames pass), on a stack of M = 2000 vectors at V(3,50) and M = 1800 at "
               "G(4,20), the kept-draw counts of uniform-rw and grassmann-rw; per call",
     "draws_csv": "experiments.write_draws_csv of the frames stacks (M = 2000 at V(3,50), "
-                 "M = 1800 at G(4,20)) into a fresh directory; per call",
+                 "M = 1800 at G(4,20)) into a fresh directory, with no writer: every row "
+                 "formatted in this one process; per call",
     "leapfrog_iteration": "one leapfrog iteration of the Bingham study (n=100, p=50, k=3, "
                           "data seed 1) from its mode, at the step burn-in adapted and the "
                           "proposal's path scale * leapfrog_steps: a run_chain of "
