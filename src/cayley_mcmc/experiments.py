@@ -373,8 +373,10 @@ class DrawsWriter:
     only when it has caught up, and exits with status 0 after the last row.
     Rows are independent, so a block's frames are the same bits as the
     chain's one stacked map. `write` reaps the child and writes the header
-    and then the spool, only once the child has exited with status 0.
-    Otherwise `write` formats every row itself from the batch's frames.
+    and then the spool, only once the child has exited with status 0; a
+    chain that keeps rows faster than the child formats them (a random walk
+    at thin 1) leaves `write` waiting for the child's backlog. Without a
+    child, `write` formats every row itself from the batch's frames.
 
     Leaving the writer's `with` block kills and reaps a child still
     running, so a chain that raises leaves no process and no file behind.
