@@ -179,20 +179,6 @@ def check_frames(Q: np.ndarray, grassmann: bool = False) -> None:
         _raise_frame_error(np.flatnonzero(failing)[0], ortho, sym, lam_min)
 
 
-def grassmann_frame_exits(Q: np.ndarray) -> np.ndarray:
-    """Which frames of a stack Q (n, p, k) `GrassmannPoint` rejects with DomainError.
-
-    Those fail the top-block checks of `check_frames`, a domain exit; a frame
-    whose columns are not orthonormal raises the ValueError of its point
-    constructor instead, the first in stack order.
-    """
-    ortho, sym, lam_min = _frame_checks(Q, grassmann=True)
-    skewed = ~(ortho <= ORTHO_TOL)
-    if skewed.any():
-        _raise_frame_error(np.flatnonzero(skewed)[0], ortho, sym, lam_min)
-    return ~(sym <= ORTHO_TOL) | ~(lam_min > SPD_EIG_CUTOFF)
-
-
 @dataclass(frozen=True)
 class _Frame:
     """A p x k frame, validated at construction by `check_frames`.

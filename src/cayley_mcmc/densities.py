@@ -23,7 +23,6 @@ from .cayley import (
     StiefelPoint,
     check_frames,
     grassmann_frame,
-    grassmann_frame_exits,
     grassmann_spectra,
     grassmann_spectrum,
     guard_resolvent,
@@ -33,8 +32,6 @@ from .cayley import (
 )
 from .errors import ConditioningError, DomainError
 from .jacobian import (
-    _log_jacobian_lowrank,
-    grassmann_gradient,
     grassmann_log_jacobian,
     require_oriented,
     stiefel_gradient,
@@ -221,10 +218,13 @@ class PullbackTarget:
     `log_jacobian_stiefel`, ...) are boundaries over the same kernels.
     `values_and_gradients` is the one fused value-and-gradient kernel, on a
     stack of vectors, with g evaluated on the stack of their validated
-    frames; `value_and_gradient` and `gradient` are its one-row case. `coords`,
-    `point` and `frames` map vectors to typed coordinates and validated
-    frames. On V(k,p) every route's frame is `cayley.stiefel_frame`, from one
-    guarded P = S^{-1}, so values and frames agree bit for bit across routes.
+    frames; `value_and_gradient` and `gradient` are its one-row case. It
+    runs on V(k,p) only (`has_gradient`): G(k,p) targets serve the random
+    walk, since leapfrog there would need a wall at lambda_max(A^T A) = 1
+    that reflects its trajectories. `coords`, `point` and `frames` map
+    vectors to typed coordinates and validated frames. On V(k,p) every
+    route's frame is `cayley.stiefel_frame`, from one guarded P = S^{-1}, so
+    values and frames agree bit for bit across routes.
     """
 
     def __init__(self, g: LogDensity, dims: ManifoldDims):
@@ -336,39 +336,55 @@ class PullbackTarget:
 
     @property
     def has_gradient(self) -> bool:
-        """A gradient exists unless the density has an `fn` but no `value_and_grad_fn`."""
-        return self.g.fn is None or self.g.value_and_grad_fn is not None
+        """Whether `values_and_gradients` and the routes over it can run: the one such test.
+
+        Only on V(k,p), and only when the density has no `fn` or has a
+        `value_and_grad_fn`. G(k,p) has none: the pullback stays positive up
+        to the edge lambda_max(A^T A) = 1 of its domain, so a leapfrog
+        trajectory would need a wall that reflects it there, and none is built.
+        """
+        return self._stiefel and (self.g.fn is None or self.g.value_and_grad_fn is not None)
 
     def values_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pullback and its gradient at each row of a stack X (n, d): stacked k x k kernels.
+        """The pullback and its gradient at each row of a stack X (n, d) on V(k,p): stacked k x k kernels.
 
-        Returns the (n,) values and the (n, d) gradients. On V(k,p) one
-        guarded stacked solve gives P = S^{-1} for each S = I + A^T A - B,
-        and with it the frame (Q1 = 2P - I, Q2 = 2AP) at which g is
-        evaluated and the adjoint gradient (`jacobian.stiefel_gradient`);
-        log J is the same slogdet as the value's. On G(k,p) one stacked
-        eigendecomposition of A^T A gives log J, the frame and the gradient
-        (`jacobian.grassmann_gradient`). When `fn` is set, every frame passes
+        Returns the (n,) values and the (n, d) gradients. One guarded
+        stacked solve gives P = S^{-1} for each S = I + A^T A - B, and with
+        it the frame (Q1 = 2P - I, Q2 = 2AP) at which g is evaluated and the
+        adjoint gradient (`jacobian.stiefel_gradient`); log J is the same
+        slogdet as the value's. When `fn` is set, every frame passes
         `check_frames` once per stack before g's `value_and_grad_fn` sees the
         stack of them. Each row equals its one-row call bit for bit, and its
         value equals `self(X[j])` bit for bit: both take the frame from the
         same P.
 
-        A row whose value is -inf has no gradient, and its gradient row is
-        NaN: a Grassmann row outside the domain, or whose frame
-        `GrassmannPoint` rejects when g needs it (g never sees those), or a
-        row where g itself is -inf. The other rows do not change. Every other
-        check runs on every row, and the first row that fails raises: an
-        orientation or conditioning failure of S or a non-finite Grassmann
-        row (ConditioningError), a frame that fails `check_frames`, a NaN
-        value (ConditioningError).
+        A row where g is -inf has no gradient, and its gradient row is NaN;
+        the other rows do not change. Every other check runs on every row,
+        and the first row that fails raises: an orientation or conditioning
+        failure of S (ConditioningError), a frame that fails `check_frames`,
+        a NaN value (ConditioningError). Without a gradient (`has_gradient`:
+        a G(k,p) target, or an `fn` with no `value_and_grad_fn`) it raises
+        ValueError.
         """
+        g, p = self.g, self.dims.p
         if not self.has_gradient:
-            raise ValueError(f"target {self.g.name!r} has an fn but no value_and_grad_fn")
-        if self._stiefel:
-            values, gradients = self._stiefel_values_and_gradients(X)
+            if not self._stiefel:
+                raise ValueError(
+                    "G(k,p) targets have no gradient: leapfrog would need a wall that reflects "
+                    "trajectories at lambda_max(A^T A) = 1, and none is built; use the random walk")
+            raise ValueError(f"target {g.name!r} has an fn but no value_and_grad_fn")
+        A, S = self._stiefel_blocks(X)
+        log_j, oriented = stiefel_log_jacobian(S, p, self._log_j_constant)
+        if not oriented.all():
+            require_oriented(False)
+        P = np.linalg.inv(guard_resolvent(S, "PullbackTarget.value_and_gradient"))
+        if g.fn is None:
+            values, gradients = log_j, stiefel_gradient(A, P, p)
         else:
-            values, gradients = self._grassmann_values_and_gradients(X)
+            Q = stiefel_frame(A, P)
+            check_frames(Q)
+            g_values, G = g.value_and_grad_fn(Q)
+            values, gradients = g_values + log_j, stiefel_gradient(A, P, p, G)
         # One reduction: NaN and -inf both make the sum non-finite.
         if not math.isfinite(values.sum()):
             if np.isnan(values).any():
@@ -376,64 +392,11 @@ class PullbackTarget:
             gradients[values == -np.inf] = np.nan
         return values, gradients
 
-    def _stiefel_values_and_gradients(self, X: np.ndarray):
-        g, p = self.g, self.dims.p
-        A, S = self._stiefel_blocks(X)
-        log_j, oriented = stiefel_log_jacobian(S, p, self._log_j_constant)
-        if not oriented.all():
-            require_oriented(False)
-        P = np.linalg.inv(guard_resolvent(S, "PullbackTarget.value_and_gradient"))
-        if g.fn is None:
-            return log_j, stiefel_gradient(A, P, p)
-        Q = stiefel_frame(A, P)
-        check_frames(Q)
-        g_values, G = g.value_and_grad_fn(Q)
-        return g_values + log_j, stiefel_gradient(A, P, p, G)
-
-    def _grassmann_values_and_gradients(self, X: np.ndarray):
-        g, n = self.g, X.shape[0]
-        A = self._a_stack(X)
-        lam, V = grassmann_spectra(A, vectors=True)
-        # Exits are dropped from X, so each kept A is the same view of its vector as in a
-        # one-row call, and every stacked product rounds as it does there. `rows` lists the
-        # kept rows once one is dropped; None means all of them.
-        rows = None
-        inside = in_grassmann_domain(lam[:, -1])
-        if not inside.all():
-            # A non-finite row has NaN eigenvalues, which lie outside.
-            if math.isnan(lam[:, 0].sum()):
-                raise ConditioningError(
-                    "PullbackTarget.value_and_gradient: non-finite coordinates")
-            rows = np.flatnonzero(inside)
-            X, lam, V = X[rows], lam[rows], V[rows]
-            A = self._a_stack(X)
-        if g.fn is not None:
-            Q = grassmann_frame(A, lam, V)
-            kept = ~grassmann_frame_exits(Q)
-            if not kept.all():
-                rows = np.arange(n)[kept] if rows is None else rows[kept]
-                X, lam, V, Q = X[kept], lam[kept], V[kept], Q[kept]
-                A = self._a_stack(X)
-        if rows is not None and not rows.size:
-            return np.full(n, -np.inf), np.full((n, self.dim), np.nan)
-        log_j = _log_jacobian_lowrank(lam, self.dims.p, self.dims.k)
-        G = None
-        if g.fn is not None:
-            g_values, G = g.value_and_grad_fn(Q)
-            log_j = g_values + log_j
-        gradients = grassmann_gradient(A, lam, V, self.dims.p, G)
-        if rows is None:
-            return log_j, gradients
-        values, full = np.full(n, -np.inf), np.full((n, self.dim), np.nan)
-        values[rows], full[rows] = log_j, gradients
-        return values, full
-
     def value_and_gradient(self, vector: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
         """The pullback at a raw coordinate vector and its gradient; `values_and_gradients`, n = 1.
 
-        Where the value is -inf (outside the Grassmann domain, where
-        `GrassmannPoint` rejects the frame g needs, or where g is -inf) the
-        gradient is None.
+        V(k,p) only, as `values_and_gradients`. Where g is -inf the gradient
+        is None.
         """
         values, gradients = self.values_and_gradients(vector[None])
         value = float(values[0])
@@ -442,7 +405,7 @@ class PullbackTarget:
     def gradient(self, vector: np.ndarray) -> np.ndarray:
         """Gradient of the pullback log density at a coordinate vector (`value_and_gradient`).
 
-        Where the value is -inf (outside the Grassmann domain, say) it raises DomainError.
+        Where the value is -inf (g is -inf there) it raises DomainError.
         """
         value, grad = self.value_and_gradient(vector)
         if grad is None:

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import orjson
 from scipy import stats
 
 from .cayley import ManifoldDims, StiefelPoint
@@ -328,6 +327,10 @@ def _lines(coords: np.ndarray, frames: np.ndarray):
     FORMAT_NUMBERS numbers; the numbers it may spell differently (non-finite,
     or below 1e-4 or from 1e16 up in magnitude) are put back with `repr`.
     """
+    # Imported here, the one place it is used, so that commands that write no
+    # draws.csv do not pay for it.
+    import orjson
+
     step = max(1, FORMAT_NUMBERS // (coords.shape[1] + frames.shape[1] * frames.shape[2]))
     for start in range(0, len(coords), step):
         x, Q = coords[start:start + step], frames[start:start + step]
@@ -349,16 +352,25 @@ def _lines(coords: np.ndarray, frames: np.ndarray):
 
 
 def _write_file(path, batch: SampleBatch, manifold: str, spool=None) -> None:
-    """draws.csv at `path`: the header, then the spool's lines, or every row formatted here."""
+    """draws.csv at `path`: the header, then the spool's lines, or every row formatted here.
+
+    If formatting or copying fails, the partial file is removed and the
+    error re-raised, so that no route leaves a half-written draws.csv.
+    """
     d = batch.coords_draws.shape[1]
     p, k = batch.manifold_draws.shape[1:]
-    with Path(path).open("wb") as fh:
-        fh.write(f"# manifold={manifold} p={p} k={k} n_coords={d}\n".encode())
-        if spool is None:
-            fh.writelines(_lines(batch.coords_draws, batch.manifold_draws))
-        else:
-            spool.seek(0)
-            shutil.copyfileobj(spool, fh)
+    path = Path(path)
+    try:
+        with path.open("wb") as fh:
+            fh.write(f"# manifold={manifold} p={p} k={k} n_coords={d}\n".encode())
+            if spool is None:
+                fh.writelines(_lines(batch.coords_draws, batch.manifold_draws))
+            else:
+                spool.seek(0)
+                shutil.copyfileobj(spool, fh)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 class DrawsWriter:

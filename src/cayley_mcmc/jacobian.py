@@ -2,12 +2,14 @@
 
 One route per manifold runs in production, each a closed form in a k x k
 matrix: on V(k,p) the log-determinant of S = I - B + A^T A; on G(k,p) a sum
-over the eigenvalues of A^T A. The pullback gradient (`stiefel_gradient`,
-`grassmann_gradient`) is the closed-form log-J gradient plus an adjoint
+over the eigenvalues of A^T A. The pullback gradient exists on V(k,p) only
+(`stiefel_gradient`): the closed-form log-J gradient plus an adjoint
 chain-rule term D^T vec(G) formed in O(pk^2) from the same k x k factor,
-never from D. The full pk x d derivative matrix D (`derivative_*`) and the
-naive (1/2) log det(D^T D) are the authoritative definitions and stay only
-as oracles: of criterion 2, of the `jacobian` command, and of the tests.
+never from D. G(k,p) has none, because leapfrog there would need a wall
+that reflects trajectories at lambda_max(A^T A) = 1. The full pk x d
+derivative matrix D (`derivative_*`) and the naive (1/2) log det(D^T D) are
+the authoritative definitions and stay only as oracles: of criterion 2, of
+the `jacobian` command, and of the tests.
 
 Everything is in log scale; the raw Jacobian contains a factor 2^{d} that
 overflows doubles for moderate p*k.
@@ -43,7 +45,6 @@ __all__ = [
     "log_jacobian_block_stiefel",
     "grad_log_jacobian_stiefel",
     "stiefel_gradient",
-    "grassmann_gradient",
     "log_jacobian_block_grassmann",
     "grassmann_log_jacobian",
 ]
@@ -183,42 +184,6 @@ def log_jacobian_block_grassmann(psi: GrassmannCoords) -> float:
     """
     lam = grassmann_spectrum(psi.a_matrix(), "log_jacobian_block_grassmann")
     return float(_log_jacobian_lowrank(lam, psi.dims.p, psi.dims.k))
-
-
-def grassmann_gradient(A: np.ndarray, lam: np.ndarray, V: np.ndarray, p: int,
-                       G: Optional[np.ndarray] = None) -> np.ndarray:
-    """Gradient in vec A of log J + g(C(A)) on G(k,p), given A^T A = V diag(lam) V^T.
-
-    log J = F(lam) with F(lam) = -p sum log1p(lam) + (1/2) sum_{a,b}
-    log1p(lam_a (2 + lam_b)) up to a constant. As d lam_c / dA =
-    2 A v_c v_c^T and F is symmetric in lam, its gradient is
-    2 A V diag(F'(lam)) V^T, with
-
-        F'(lam_c) = -p / (1 + lam_c) + (1/2) sum_b (2 + lam_b) / M_cb
-                    + (1/2) sum_a lam_a / M_ac,   M_ab = 1 + lam_a (2 + lam_b).
-
-    `G` = [G1; G2], the gradient of g at the frame, adds the chain-rule term
-    D^T vec(G) as a k x k vector-Jacobian product through the spectral map
-    Q1 = 2N - I, Q2 = 2AN with N = (I + A^T A)^{-1}: for
-    W = 2N(G1 + A^T G2)N it is 2 G2 N - A(W + W^T).
-
-    Every argument may carry one leading stack axis n; the gradients are then
-    (n, d), and each row equals its one-matrix call bit for bit.
-    """
-    lam1, lam2 = 1.0 + lam, (lam + 2.0)[..., None, :]
-    M = 1.0 + lam[..., :, None] * lam2
-    # 2 F'(lam): doubling each term is exact, so the factors 1/2 and 2 cancel unrounded.
-    dF2 = (-2 * p / lam1 + (lam2 / M).sum(axis=-1) + (lam[..., :, None] / M).sum(axis=-2))
-    Vt = V.swapaxes(-1, -2)
-    grad = A @ ((V * dF2[..., None, :]) @ Vt)
-    if G is not None:
-        k = A.shape[-1]
-        N = (V / lam1[..., None, :]) @ Vt
-        N2 = 2.0 * N  # (2 G2) N = G2 (2N) exactly
-        W = N2 @ (G[..., :k, :] + A.swapaxes(-1, -2) @ G[..., k:, :]) @ N
-        grad = grad + G[..., k:, :] @ N2 - A @ (W + W.swapaxes(-1, -2))
-    # vec in column-major order: the rows of the transpose.
-    return grad.swapaxes(-1, -2).reshape(grad.shape[:-2] + (-1,))
 
 
 def stiefel_log_jacobian_constant(dims: ManifoldDims) -> float:

@@ -5,9 +5,12 @@ The chain lives in the unconstrained (Stiefel) or eigenvalue-constrained
 with the forward Cayley transform. Proposals are isotropic Gaussian random
 walks (optionally with separate scales for the skew-block and A-block
 coordinates) or leapfrog trajectories. Leapfrog uses the target's analytic
-pullback gradient, which exists on both manifolds for the uniform density
-and for any density with a `value_and_grad_fn`, and the chain state
-carries the gradient to the next trajectory.
+pullback gradient, which exists on V(k,p) only, for the uniform density
+and for any density with a `value_and_grad_fn` (`has_gradient`), and the
+chain state carries the gradient to the next trajectory. On G(k,p) it
+raises ValueError before its first move: a trajectory that reaches the
+edge lambda_max(A^T A) = 1 of the domain would need a wall that reflects
+it, and none is built.
 
 `run_chains` runs n chains from n starting vectors, chain i seeded
 seed + i; `run_chain` is its one-chain case. Leapfrog chains advance in
@@ -198,8 +201,9 @@ def leapfrog_step(state: ChainState, target: PullbackTarget, proposal: ProposalC
 
     Standard leapfrog with unit mass matrix and step size `scale`,
     Metropolis-corrected on the total energy: the one-chain case of
-    `_leapfrog_lockstep`. A target whose density has an `fn` but no
-    `value_and_grad_fn` raises ValueError before the first move.
+    `_leapfrog_lockstep`. A target without a gradient (`has_gradient`: a
+    G(k,p) target, or a density with an `fn` but no `value_and_grad_fn`)
+    raises ValueError before the first move.
     """
     if proposal.kind != "leapfrog":
         raise ValueError("leapfrog_step requires proposal.kind == 'leapfrog'")

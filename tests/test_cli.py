@@ -20,7 +20,6 @@ from cayley_mcmc.cli import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from cayley_mcmc.experiments import read_draws_csv
 
 
 class TestMatrixCsv:
@@ -218,6 +217,7 @@ class TestSampleCommand:
 
     @pytest.mark.parametrize("target", ["uniform", "bingham"])
     def test_grassmann_leapfrog(self, tmp_path, capsys, target):
+        """Refused as a usage error naming the missing wall, before --out is made."""
         argv = ["sample", "--manifold", "grassmann", "--p", "5", "--k", "2",
                 "--target", target, "--proposal", "leapfrog", "--scale", "0.05",
                 "--iters", "150", "--burn", "50", "--seed", "4", "--out", str(tmp_path / "g")]
@@ -226,13 +226,11 @@ class TestSampleCommand:
             write_matrix_csv(data, np.random.default_rng(5).standard_normal((30, 5)))
             argv += ["--data", str(data), "--sigma2", "1.0", "--lambda", "3,1"]
         code = parse_and_dispatch(argv)
-        assert code == EXIT_OK
-        _, _, frames = read_draws_csv(tmp_path / "g" / "draws.csv")
-        assert frames.shape == (100, 5, 2)
-        for Q in frames:
-            assert np.max(np.abs(Q.T @ Q - np.eye(2))) < 1e-10
-            assert np.allclose(Q[:2], Q[:2].T, atol=1e-12)
-            assert np.linalg.eigvalsh(Q[:2]).min() > 0
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage-error: ") and "wall" in err
+        assert "lambda_max(A^T A) = 1" in err
+        assert not (tmp_path / "g").exists()
 
 
 class TestJacobianCommand:
@@ -394,6 +392,19 @@ def test_importing_the_cli_loads_no_multiprocessing():
                           env={**os.environ, "PYTHONPATH": _src()}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_command_that_writes_no_draws_imports_no_orjson(tmp_path):
+    """orjson is imported where draws.csv is formatted, so normal-approx-exp never loads it."""
+    code = ("import sys, cayley_mcmc.cli\n"
+            "code = cayley_mcmc.cli.parse_and_dispatch(sys.argv[1:])\n"
+            "print(code, 'orjson' in sys.modules)\n")
+    argv = ["normal-approx-exp", "--k", "2", "--p-grid", "10,20,40", "--replicates", "5",
+            "--seed", "1", "--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": _src()}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestWriterChildWithBlasThreads:

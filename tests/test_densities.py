@@ -291,19 +291,22 @@ class TestPullbackTarget:
             assert batch.manifold_draws.shape == (400, 4, 2)
             assert batch.acceptance_rate < 1.0
 
-    def test_grassmann_gradient_matches_central_differences(self):
+    def test_grassmann_target_has_no_gradient(self):
+        """G(k,p) has no gradient route: `has_gradient` is False and every gradient call refuses."""
         rng = np.random.default_rng(9)
         dims = ManifoldDims(6, 2)
         params = BinghamParams.from_data(rng.standard_normal((20, 6)), 1.0,
                                          np.array([4.0, 2.0]))
         x = rng.standard_normal(dims.d_g)
         x *= 0.7 / np.linalg.norm(x)
-        h = 1e-6
         for g in (uniform_log_density("grassmann"), bingham_log_density(params, "grassmann")):
             t = PullbackTarget(g, dims)
-            assert t.has_gradient
-            fd = np.array([(t(x + h * e) - t(x - h * e)) / (2 * h) for e in np.eye(dims.d_g)])
-            assert np.max(np.abs(t.gradient(x) - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+            assert not t.has_gradient
+            for call, arg in ((t.values_and_gradients, x[None]), (t.value_and_gradient, x),
+                              (t.gradient, x)):
+                with pytest.raises(ValueError, match=r"wall .* lambda_max\(A\^T A\) = 1"):
+                    call(arg)
+            assert np.isfinite(t(x))
 
     def test_uniform_stiefel_gradient_is_jacobian_gradient(self):
         rng = np.random.default_rng(7)
@@ -369,15 +372,13 @@ class TestAdjointGradient:
             assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("density", ["uniform", "bingham"])
-    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
-    def test_value_and_gradient_is_value_and_gradient(self, manifold, density):
+    def test_value_and_gradient_is_value_and_gradient(self, density):
         rng = np.random.default_rng(3)
         p, k = 12, 3
         dims = ManifoldDims(p, k)
         params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
                                          np.linspace(3.0, 1.0, k))
-        g = (uniform_log_density(manifold) if density == "uniform"
-             else bingham_log_density(params, manifold))
+        g = uniform_log_density() if density == "uniform" else bingham_log_density(params)
         target = PullbackTarget(g, dims)
         for _ in range(5):
             x = rng.standard_normal(target.dim)
@@ -386,38 +387,22 @@ class TestAdjointGradient:
             assert value == pytest.approx(target(x), rel=1e-13, abs=1e-13)
             assert np.array_equal(grad, target.gradient(x))
 
-    @pytest.mark.parametrize("density", ["uniform", "bingham"])
-    def test_grassmann_exit_has_no_gradient(self, density):
-        rng = np.random.default_rng(4)
-        dims = ManifoldDims(4, 2)
-        params = BinghamParams.from_data(rng.standard_normal((12, 4)), 1.0, np.array([2.0, 1.0]))
-        g = (uniform_log_density("grassmann") if density == "uniform"
-             else bingham_log_density(params, "grassmann"))
-        target = PullbackTarget(g, dims)
-        outside = np.diag([1.5, 0.3]).reshape(-1, order="F")
-        assert target.value_and_gradient(outside) == (-np.inf, None)
-        assert target(outside) == -np.inf
-        with pytest.raises(DomainError):
-            target.gradient(outside)
-
 
 class TestStackedKernel:
     """`values_and_gradients`: every row is its one-row call, and a bad row stays its own."""
 
-    def _target(self, manifold, density, p, k):
+    def _target(self, density, p, k):
         rng = np.random.default_rng(10 * p + k)
         params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
                                          np.linspace(3.0, 1.0, k))
-        g = (uniform_log_density(manifold) if density == "uniform"
-             else bingham_log_density(params, manifold))
+        g = uniform_log_density() if density == "uniform" else bingham_log_density(params)
         return PullbackTarget(g, ManifoldDims(p, k))
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     @pytest.mark.parametrize("density", ["uniform", "bingham"])
-    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
     @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
-    def test_every_row_equals_its_one_row_call(self, p, k, manifold, density, n):
-        target = self._target(manifold, density, p, k)
+    def test_every_row_equals_its_one_row_call(self, p, k, density, n):
+        target = self._target(density, p, k)
         rng = np.random.default_rng(n)
         for size in (0.3, 1.0, 2.5):
             X = size * rng.standard_normal((n, target.dim)) / np.sqrt(p)
@@ -426,22 +411,17 @@ class TestStackedKernel:
             for j in range(n):
                 value, gradient = target.value_and_gradient(X[j].copy())
                 assert values[j] == value
-                if gradient is None:
-                    assert value == -np.inf and np.isnan(gradients[j]).all()
-                else:
-                    assert np.array_equal(gradients[j], gradient)
+                assert np.array_equal(gradients[j], gradient)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("density", ["uniform", "bingham"])
-    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
     @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
-    def test_nan_and_ill_conditioned_rows_raise(self, p, k, manifold, density):
-        """A NaN row raises ConditioningError; so does ||A|| = 1e8 on V(k,p), k >= 2.
+    def test_nan_and_ill_conditioned_rows_raise(self, p, k, density):
+        """A NaN row raises ConditioningError; so does ||A|| = 1e8 at k >= 2.
 
-        At k = 1 the 1 x 1 resolvent 1 + a^2 is perfectly conditioned, and on
-        G(k,p) such a row lies outside the domain, a silent exit.
+        At k = 1 the 1 x 1 resolvent 1 + a^2 is perfectly conditioned.
         """
-        target = self._target(manifold, density, p, k)
+        target = self._target(density, p, k)
         X = 0.1 * np.random.default_rng(1).standard_normal((3, target.dim)) / np.sqrt(p)
         nan = X.copy()
         nan[1, -1] = np.nan
@@ -449,30 +429,15 @@ class TestStackedKernel:
             target.values_and_gradients(nan)
         huge = X.copy()
         huge[1, target.n_b] = 1e8
-        if manifold == "stiefel" and k >= 2:
+        if k >= 2:
             with pytest.raises(ConditioningError, match="reciprocal condition number"):
                 target.values_and_gradients(huge)
         else:
             values, gradients = target.values_and_gradients(huge)
-            assert (values[1] == -np.inf) == (manifold == "grassmann")
-            assert np.isnan(gradients[1]).all() == (manifold == "grassmann")
+            assert values[1] > -np.inf and not np.isnan(gradients[1]).any()
 
-    @pytest.mark.parametrize("density", ["uniform", "bingham"])
-    @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
-    def test_grassmann_exit_leaves_its_neighbours(self, p, k, density):
-        target = self._target("grassmann", density, p, k)
-        X = 0.3 * np.random.default_rng(2).standard_normal((5, target.dim)) / np.sqrt(p)
-        inside_values, inside_gradients = target.values_and_gradients(X)
-        X[2] *= 10.0 / np.linalg.norm(X[2])
-        values, gradients = target.values_and_gradients(X)
-        assert values[2] == -np.inf and np.isnan(gradients[2]).all()
-        for j in (0, 1, 3, 4):
-            assert values[j] == inside_values[j] > -np.inf
-            assert np.array_equal(gradients[j], inside_gradients[j])
-
-    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
-    def test_rows_where_g_is_minus_inf_have_no_gradient(self, manifold):
-        """A density's -inf is an exit of its row, as a domain exit is: NaN gradient row, None."""
+    def test_rows_where_g_is_minus_inf_have_no_gradient(self):
+        """A density's -inf is an exit of its row: NaN gradient row, None, and the others stay."""
         def fn(Q):
             return np.where(Q[:, 0, 0] < 0.9, -np.inf, Q[:, 0, 0])
 
@@ -481,11 +446,11 @@ class TestStackedKernel:
             G[:, 0, 0] = 1.0
             return fn(Q), G
 
-        target = PullbackTarget(LogDensity(fn=fn, manifold=manifold,
+        target = PullbackTarget(LogDensity(fn=fn, manifold="stiefel",
                                            value_and_grad_fn=value_and_grad_fn),
                                 ManifoldDims(6, 2))
         X = 0.05 * np.random.default_rng(4).standard_normal((6, target.dim))
-        X[[1, 4], 0 if manifold == "grassmann" else target.n_b] = 0.5
+        X[[1, 4], target.n_b] = 0.5
         values, gradients = target.values_and_gradients(X)
         assert [j for j in range(6) if values[j] == -np.inf] == [1, 4]
         for j in range(6):
@@ -494,36 +459,6 @@ class TestStackedKernel:
         assert target.value_and_gradient(X[1].copy()) == (-np.inf, None)
         with pytest.raises(DomainError):
             target.gradient(X[4].copy())
-
-    def test_grassmann_frame_rejected_leaves_its_neighbours(self, monkeypatch):
-        """A frame GrassmannPoint rejects is an exit of its row only, and g never sees it.
-
-        Inside the domain the predicate already excludes every frame whose top
-        block fails, so the rejection is forced here for the middle row.
-        """
-        import cayley_mcmc.densities as densities
-
-        target = self._target("grassmann", "bingham", 6, 2)
-        X = 0.1 * np.random.default_rng(3).standard_normal((3, target.dim))
-        expected = [target.value_and_gradient(x.copy()) for x in X]
-        assert all(value > -np.inf for value, _ in expected)
-        real = densities.grassmann_frame_exits
-        monkeypatch.setattr(densities, "grassmann_frame_exits",
-                            lambda Q: real(Q) | (np.arange(len(Q)) == 1))
-        seen = []
-        g = target.g
-
-        def value_and_grad_fn(Q):
-            seen.append(Q.copy())
-            return g.value_and_grad_fn(Q)
-
-        target = PullbackTarget(LogDensity(fn=g.fn, manifold="grassmann",
-                                           value_and_grad_fn=value_and_grad_fn), target.dims)
-        values, gradients = target.values_and_gradients(X)
-        assert values[1] == -np.inf and np.isnan(gradients[1]).all()
-        for j in (0, 2):
-            assert values[j] == expected[j][0] and np.array_equal(gradients[j], expected[j][1])
-        assert len(seen) == 1 and np.array_equal(seen[0], target.frames(X[[0, 2]]))
 
 
 def same_bits(a, b) -> bool:

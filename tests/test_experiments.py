@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -339,13 +340,13 @@ class TestLines:
     @pytest.mark.parametrize("p,k,rows_per_call", [(5, 2, 4096 // 17), (50, 3, 13), (80, 60, 1)])
     def test_at_most_format_numbers_per_call(self, monkeypatch, p, k, rows_per_call):
         """orjson formats FORMAT_NUMBERS numbers at a time, or one row past that width."""
-        dumps, shapes = experiments.orjson.dumps, []
+        dumps, shapes = orjson.dumps, []
 
         def recording(block, option):
             shapes.append(block.shape)
             return dumps(block, option=option)
 
-        monkeypatch.setattr(experiments.orjson, "dumps", recording)
+        monkeypatch.setattr(orjson, "dumps", recording)
         monkeypatch.setattr(experiments, "FORMAT_NUMBERS", 4096)
         m, d = 2 * rows_per_call + 1, p * k - k * (k + 1) // 2
         rng = np.random.default_rng(6)
@@ -573,6 +574,25 @@ class TestStreamedDrawsErrors:
             assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failing_format_in_one_process_leaves_no_file(self, tmp_path, monkeypatch,
+                                                           spool_dir):
+        """Below the fork floor this process formats every row; failing at row 51 leaves no file."""
+        lines = experiments._lines
+
+        def fail_at_row_51(coords, frames):
+            for row, line in enumerate(lines(coords, frames), 1):
+                if row == 51:
+                    raise MemoryError("format failed")
+                yield line
+
+        monkeypatch.setattr(experiments, "_lines", fail_at_row_51)
+        forks = TestFileFormats._count_forks(monkeypatch)
+        target, run = _uniform_chain("stiefel", 50, 3, 100)
+        with pytest.raises(MemoryError, match="format failed"):
+            _stream(tmp_path / "draws.csv", target, run, "stiefel")
+        assert forks == []
+        assert [f.name for f in tmp_path.iterdir()] == ["spool"]
 
     @pytest.mark.parametrize("failing_block", [1, 2])
     def test_a_failing_child_raises_os_error(self, tmp_path, monkeypatch, spool_dir,

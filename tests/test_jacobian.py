@@ -14,7 +14,7 @@ from cayley_mcmc.cayley import (
     cayley_forward_dense,
     cayley_inverse_stiefel,
 )
-from cayley_mcmc.densities import LogDensity, PullbackTarget, uniform_log_density
+from cayley_mcmc.densities import PullbackTarget, uniform_log_density
 from cayley_mcmc.diagnostics import haar_stiefel
 from cayley_mcmc.errors import ConditioningError, DomainError
 from cayley_mcmc.jacobian import (
@@ -213,40 +213,6 @@ class TestClosedFormGradient:
             grad_log_jacobian_stiefel(StiefelCoords.from_vector(dims, phi_vec))
         with pytest.raises(ConditioningError):
             PullbackTarget(uniform_log_density("stiefel"), dims).gradient(phi_vec)
-
-
-class TestGrassmannGradient:
-    """The spectral gradients on G(k,p) near the domain edge, against oracles."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(SHAPES, st.floats(0.9, 1.0 - 1e-6), st.integers(0, 2**32 - 1))
-    def test_chain_rule_matches_derivative_matrix(self, pk, lam_max, seed):
-        """The k x k VJP equals D^T vec(G) with D the dense derivative matrix."""
-        psi = near_edge_coords(*pk, lam_max, seed)
-        C = np.random.default_rng(seed + 1).standard_normal((psi.dims.p, psi.dims.k))
-        fn = lambda Q: np.sum(C * Q, axis=(-2, -1))
-        g = LogDensity(fn=fn, manifold="grassmann",
-                       value_and_grad_fn=lambda Q: (fn(Q), np.broadcast_to(C, Q.shape)))
-        log_j = PullbackTarget(uniform_log_density("grassmann"), psi.dims)
-        chain = PullbackTarget(g, psi.dims).gradient(psi.psi) - log_j.gradient(psi.psi)
-        oracle = derivative_grassmann(psi).matrix.T @ C.reshape(-1, order="F")
-        assert np.max(np.abs(chain - oracle)) <= 1e-10 * max(1.0, np.max(np.abs(oracle)))
-
-    @settings(max_examples=60, deadline=None)
-    @given(SHAPES, st.floats(0.9, 1.0 - 1e-6), st.integers(0, 2**32 - 1))
-    def test_log_jacobian_gradient_matches_central_differences(self, pk, lam_max, seed):
-        psi = near_edge_coords(*pk, lam_max, seed)
-        # A step of h moves lam_max by at most 2h + h^2, so x +- h stays in the domain.
-        h = min(1e-6, 0.1 * (1.0 - lam_max))
-        x = psi.psi
-        fd = np.empty_like(x)
-        for j in range(x.size):
-            e = np.zeros_like(x)
-            e[j] = h
-            fd[j] = (log_jacobian_block_grassmann(GrassmannCoords(psi.dims, x + e))
-                     - log_jacobian_block_grassmann(GrassmannCoords(psi.dims, x - e))) / (2 * h)
-        grad = PullbackTarget(uniform_log_density("grassmann"), psi.dims).gradient(psi.psi)
-        assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
 
 
 class TestVolume:

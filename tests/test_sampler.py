@@ -43,6 +43,18 @@ def uniform_target(p=4, k=2, manifold="stiefel"):
     return PullbackTarget(uniform_log_density(manifold), ManifoldDims(p, k))
 
 
+def walled_target(p, k):
+    """The uniform V(k,p) target cut off where Q11 <= 1/2: a wall that leapfrog cannot cross."""
+    def fn(Q):
+        return np.where(Q[:, 0, 0] > 0.5, 0.0, -np.inf)
+
+    def value_and_grad_fn(Q):
+        return fn(Q), np.zeros(Q.shape)
+
+    return PullbackTarget(LogDensity(fn=fn, manifold="stiefel",
+                                     value_and_grad_fn=value_and_grad_fn), ManifoldDims(p, k))
+
+
 class TestConfigs:
     def test_proposal_validation(self):
         with pytest.raises(ValueError):
@@ -94,16 +106,29 @@ class TestSteps:
                           np.random.default_rng(0))
 
     def test_leapfrog_without_grad_fn_raises_before_moving(self):
-        for manifold in ("stiefel", "grassmann"):
+        for manifold, message in (("stiefel", "grad_fn"), ("grassmann", "wall")):
             g = LogDensity(fn=lambda Q: Q[:, 0, 0], manifold=manifold)
             target = PullbackTarget(g, ManifoldDims(4, 2))
             start = np.full(target.dim, 0.1)
             state = ChainState(start.copy(), target(start))
-            with pytest.raises(ValueError, match="grad_fn"):
+            with pytest.raises(ValueError, match=message):
                 leapfrog_step(state, target, ProposalConfig(kind="leapfrog", scale=0.05),
                               np.random.default_rng(0))
             assert np.array_equal(state.vector, start)
             assert (state.accept_count, state.step_count) == (0, 0)
+
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    def test_grassmann_leapfrog_chain_is_refused_before_any_row(self, density, monkeypatch):
+        """G(k,p) has no gradient, so a leapfrog chain raises before its first move."""
+        target = PullbackTarget(make_density("grassmann", density, 6, 2), ManifoldDims(6, 2))
+        rows, real_rows = [], target.rows
+        monkeypatch.setattr(target, "rows", lambda X: rows.append(len(X)) or real_rows(X))
+        sink = TestKeptRowSink.Recorder(10, target.dim)
+        with pytest.raises(ValueError, match=r"wall .* lambda_max\(A\^T A\) = 1"):
+            run_chain(target, np.zeros(target.dim), ProposalConfig(kind="leapfrog", scale=0.05),
+                      RunConfig(iterations=10, seed=1), sink=sink)
+        assert rows == [1]  # the initial state's check, before the chain
+        assert sink.counts == []
 
     def test_leapfrog_needs_a_step(self):
         target = uniform_target()
@@ -374,8 +399,8 @@ class TestLeapfrogAdaptation:
         assert rejecting.step < rejecting.averaged < 0.02
 
     def test_trajectory_length_is_capped_where_the_step_collapses(self):
-        """At the Grassmann wall burn-in drives the step far down; a trajectory stays bounded."""
-        target = uniform_target(20, 4, "grassmann")
+        """At a wall burn-in drives the step far down; a trajectory stays bounded."""
+        target = walled_target(20, 4)
         prop = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=10)
         batch = run_chain(target, np.zeros(target.dim), prop,
                           RunConfig(iterations=200, burn_in=100, seed=1))
@@ -509,15 +534,15 @@ class TestLockstepChains:
         assert any(steps[1] < min(steps[0], steps[2]) and sizes[0] == (3, 0)
                    and sizes[steps[1]] == (2, 0) for steps, sizes in trajectories[1:])
 
-    def test_grassmann_pair_where_trajectories_leave_the_domain(self, monkeypatch):
-        """Near the wall trajectories exit mid-way while the other chain keeps moving.
+    def test_pair_where_trajectories_leave_the_domain(self, monkeypatch):
+        """Near a wall trajectories exit mid-way while the other chain keeps moving.
 
         Some trajectory moves both chains for a few steps, then one exits and
         the other chain goes on alone.
         """
-        target = uniform_target(20, 4, "grassmann")
+        target = walled_target(20, 4)
         near_wall = np.zeros(target.dim)
-        near_wall[0] = 0.97
+        near_wall[target.n_b] = 0.55  # Q11 = (1 - a^2) / (1 + a^2) = 0.54
         inits = np.stack([np.zeros(target.dim), near_wall])
         proposal = ProposalConfig(kind="leapfrog", scale=0.05, leapfrog_steps=10)
         batches, trajectories = self._assert_lockstep_equals_alone(

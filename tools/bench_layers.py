@@ -13,7 +13,10 @@ for minutes at a time, and each process settles into a fast or a slow mode.
 
 A layer (LAYERS) is timed as the median microseconds per call over BUDGET_S
 of calls, at each (p, k) of SHAPES on both manifolds unless LAYERS names its
-shape; a layer whose API one tree lacks is skipped and listed. An op is the
+shape or manifold; a layer whose API one tree lacks is skipped and listed.
+The gradient layers (``gradient.*``, ``value_and_gradient.*`` and
+``values_and_gradients.*``) run on V(k,p) only, where a pullback gradient
+exists: G(k,p) targets refuse it. An op is the
 workload's command line (``benchmark/workloads.py``) at workload seed
 OP_SEED and op seed 1000 * OP_SEED + round, timed in wall seconds, with the
 CPU seconds of the child processes it reaped (the draws writer's).
@@ -54,9 +57,10 @@ LAYERS = {
                   "by its iterations (uniform target)",
     "forward": "cayley_forward_stiefel / cayley_forward_grassmann",
     "log_j": "log_jacobian_stiefel / log_jacobian_block_grassmann",
-    "gradient": "the pullback gradient of the uniform and of the Bingham target",
+    "gradient": "the pullback gradient of the uniform and of the Bingham target, on V(k,p) "
+                "only",
     "value_and_gradient": "the fused pullback value and gradient of the uniform and of the "
-                          "Bingham target",
+                          "Bingham target, on V(k,p) only",
     "values_and_gradients": "PullbackTarget.values_and_gradients, the stacked fused value and "
                             "gradient, on a stack of M = 1, 2 or 8 vectors of the uniform and "
                             "of the Bingham target at V(3,50); per call, not per row",
@@ -193,10 +197,13 @@ def layer_timers(tree: dict, scratch: Path) -> dict:
                 per=CHAIN_STEPS)
             add(f"forward.{at}", lambda: partial(getattr(cayley, forward[manifold]), coords))
             add(f"log_j.{at}", lambda: partial(getattr(jacobian, log_j[manifold]), coords))
-            add(f"gradient.uniform.{at}", lambda: partial(uniform.gradient, x))
-            add(f"gradient.bingham.{at}", lambda: partial(bingham.gradient, x))
-            add(f"value_and_gradient.uniform.{at}", lambda: partial(uniform.value_and_gradient, x))
-            add(f"value_and_gradient.bingham.{at}", lambda: partial(bingham.value_and_gradient, x))
+            if manifold == "stiefel":  # G(k,p) targets have no gradient
+                add(f"gradient.uniform.{at}", lambda: partial(uniform.gradient, x))
+                add(f"gradient.bingham.{at}", lambda: partial(bingham.gradient, x))
+                add(f"value_and_gradient.uniform.{at}",
+                    lambda: partial(uniform.value_and_gradient, x))
+                add(f"value_and_gradient.bingham.{at}",
+                    lambda: partial(bingham.value_and_gradient, x))
             for m in STACKS:
                 X = np.stack([point_in_domain(np, rng, manifold, p, k) for _ in range(m)])
                 add(f"rows.m{m}.uniform.{at}", lambda: partial(all_rows, uniform.rows, X))
@@ -336,8 +343,8 @@ def load_tree(src: Path) -> dict:
     """The modules of the cayley_mcmc package under `src`, imported apart from any other tree's.
 
     A module imported earlier by the same name leaves `sys.modules` first, so
-    each tree's modules hold only each other; the package imports no module
-    inside a function, so its calls never reach the other tree's.
+    each tree's modules hold only each other; the package imports none of its
+    own modules inside a function, so its calls never reach the other tree's.
     """
     def ours():
         return {name: mod for name, mod in sys.modules.items()
