@@ -39,6 +39,9 @@ from cayley_mcmc.jacobian import (
 from cayley_mcmc.sampler import ProposalConfig, RunConfig, run_chain
 from cayley_mcmc.special_matrices import skew_at, skew_from_vech
 
+# The refusal that every G(k,p) gradient route raises.
+NO_WALL = r"wall .* lambda_max\(A\^T A\) = 1"
+
 
 class TestLogDensity:
     def test_rejects_unknown_manifold(self):
@@ -304,7 +307,7 @@ class TestPullbackTarget:
             assert not t.has_gradient
             for call, arg in ((t.values_and_gradients, x[None]), (t.value_and_gradient, x),
                               (t.gradient, x)):
-                with pytest.raises(ValueError, match=r"wall .* lambda_max\(A\^T A\) = 1"):
+                with pytest.raises(ValueError, match=NO_WALL):
                     call(arg)
             assert np.isfinite(t(x))
 
@@ -372,40 +375,78 @@ class TestAdjointGradient:
             assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("density", ["uniform", "bingham"])
-    def test_value_and_gradient_is_value_and_gradient(self, density):
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_value_and_gradient_is_value_and_gradient(self, manifold, density):
+        """On G(k,p) the value stands and both gradient routes refuse with the wall message."""
         rng = np.random.default_rng(3)
         p, k = 12, 3
         dims = ManifoldDims(p, k)
         params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
                                          np.linspace(3.0, 1.0, k))
-        g = uniform_log_density() if density == "uniform" else bingham_log_density(params)
+        g = (uniform_log_density(manifold) if density == "uniform"
+             else bingham_log_density(params, manifold))
         target = PullbackTarget(g, dims)
         for _ in range(5):
             x = rng.standard_normal(target.dim)
             x *= 0.7 / np.linalg.norm(x)
+            if manifold == "grassmann":
+                assert np.isfinite(target(x))
+                for call in (target.value_and_gradient, target.gradient):
+                    with pytest.raises(ValueError, match=NO_WALL):
+                        call(x)
+                continue
             value, grad = target.value_and_gradient(x)
             assert value == pytest.approx(target(x), rel=1e-13, abs=1e-13)
             assert np.array_equal(grad, target.gradient(x))
 
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    def test_grassmann_exit_has_no_gradient(self, density):
+        """Outside the G(k,p) domain the value is -inf, and the gradient is refused, not None."""
+        rng = np.random.default_rng(4)
+        dims = ManifoldDims(4, 2)
+        params = BinghamParams.from_data(rng.standard_normal((12, 4)), 1.0, np.array([2.0, 1.0]))
+        g = (uniform_log_density("grassmann") if density == "uniform"
+             else bingham_log_density(params, "grassmann"))
+        target = PullbackTarget(g, dims)
+        outside = np.diag([1.5, 0.3]).reshape(-1, order="F")
+        assert target(outside) == -np.inf
+        assert target.rows(outside[None])(0) == -np.inf
+        for call in (target.value_and_gradient, target.gradient):
+            with pytest.raises(ValueError, match=NO_WALL):
+                call(outside)
+
 
 class TestStackedKernel:
-    """`values_and_gradients`: every row is its one-row call, and a bad row stays its own."""
+    """The stacked kernels: every row is its one-row call, and a bad row stays its own.
 
-    def _target(self, density, p, k):
+    On V(k,p) the kernel is `values_and_gradients`. On G(k,p) it is `rows`,
+    the values the random walk uses, and `values_and_gradients` refuses.
+    """
+
+    def _target(self, manifold, density, p, k):
         rng = np.random.default_rng(10 * p + k)
         params = BinghamParams.from_data(rng.standard_normal((3 * p, p)), 1.0,
                                          np.linspace(3.0, 1.0, k))
-        g = uniform_log_density() if density == "uniform" else bingham_log_density(params)
+        g = (uniform_log_density(manifold) if density == "uniform"
+             else bingham_log_density(params, manifold))
         return PullbackTarget(g, ManifoldDims(p, k))
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
     @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
-    def test_every_row_equals_its_one_row_call(self, p, k, density, n):
-        target = self._target(density, p, k)
+    def test_every_row_equals_its_one_row_call(self, p, k, manifold, density, n):
+        target = self._target(manifold, density, p, k)
         rng = np.random.default_rng(n)
         for size in (0.3, 1.0, 2.5):
             X = size * rng.standard_normal((n, target.dim)) / np.sqrt(p)
+            if manifold == "grassmann":
+                value = target.rows(X)
+                for j in range(n):
+                    assert value(j) == target(X[j].copy())
+                with pytest.raises(ValueError, match=NO_WALL):
+                    target.values_and_gradients(X)
+                continue
             values, gradients = target.values_and_gradients(X)
             assert values.shape == (n,) and gradients.shape == (n, target.dim)
             for j in range(n):
@@ -415,20 +456,34 @@ class TestStackedKernel:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
     @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
-    def test_nan_and_ill_conditioned_rows_raise(self, p, k, density):
-        """A NaN row raises ConditioningError; so does ||A|| = 1e8 at k >= 2.
+    def test_nan_and_ill_conditioned_rows_raise(self, p, k, manifold, density):
+        """A NaN row raises ConditioningError; so does ||A|| = 1e8 on V(k,p), k >= 2.
 
-        At k = 1 the 1 x 1 resolvent 1 + a^2 is perfectly conditioned.
+        At k = 1 the 1 x 1 resolvent 1 + a^2 is perfectly conditioned, and on
+        G(k,p) such a row lies outside the domain, a silent exit. On G(k,p)
+        only the NaN row's `value(1)` raises; its neighbours stay finite.
         """
-        target = self._target(density, p, k)
+        target = self._target(manifold, density, p, k)
         X = 0.1 * np.random.default_rng(1).standard_normal((3, target.dim)) / np.sqrt(p)
         nan = X.copy()
         nan[1, -1] = np.nan
-        with pytest.raises(ConditioningError):
-            target.values_and_gradients(nan)
         huge = X.copy()
         huge[1, target.n_b] = 1e8
+        if manifold == "grassmann":
+            value = target.rows(nan)
+            with pytest.raises(ConditioningError):
+                value(1)
+            for j in (0, 2):
+                assert value(j) == target(X[j].copy()) > -np.inf
+            value = target.rows(huge)
+            assert value(1) == -np.inf
+            for j in (0, 2):
+                assert value(j) == target(X[j].copy()) > -np.inf
+            return
+        with pytest.raises(ConditioningError):
+            target.values_and_gradients(nan)
         if k >= 2:
             with pytest.raises(ConditioningError, match="reciprocal condition number"):
                 target.values_and_gradients(huge)
@@ -436,8 +491,26 @@ class TestStackedKernel:
             values, gradients = target.values_and_gradients(huge)
             assert values[1] > -np.inf and not np.isnan(gradients[1]).any()
 
-    def test_rows_where_g_is_minus_inf_have_no_gradient(self):
-        """A density's -inf is an exit of its row: NaN gradient row, None, and the others stay."""
+    @pytest.mark.parametrize("density", ["uniform", "bingham"])
+    @pytest.mark.parametrize("p,k", [(2, 1), (4, 2), (50, 3), (200, 5)])
+    def test_grassmann_exit_leaves_its_neighbours(self, p, k, density):
+        target = self._target("grassmann", density, p, k)
+        X = 0.3 * np.random.default_rng(2).standard_normal((5, target.dim)) / np.sqrt(p)
+        inside = target.rows(X)
+        inside_values = [inside(j) for j in range(5)]
+        X[2] *= 10.0 / np.linalg.norm(X[2])
+        value = target.rows(X)
+        assert value(2) == -np.inf
+        for j in (0, 1, 3, 4):
+            assert value(j) == inside_values[j] > -np.inf
+
+    @pytest.mark.parametrize("manifold", ["stiefel", "grassmann"])
+    def test_rows_where_g_is_minus_inf_have_no_gradient(self, manifold):
+        """A density's -inf is an exit of its row, as a domain exit is: the others stay.
+
+        On V(k,p) the row's gradient row is NaN and its one-row gradient None;
+        on G(k,p) there is no gradient at all, and `rows` reads -inf there.
+        """
         def fn(Q):
             return np.where(Q[:, 0, 0] < 0.9, -np.inf, Q[:, 0, 0])
 
@@ -446,11 +519,19 @@ class TestStackedKernel:
             G[:, 0, 0] = 1.0
             return fn(Q), G
 
-        target = PullbackTarget(LogDensity(fn=fn, manifold="stiefel",
+        target = PullbackTarget(LogDensity(fn=fn, manifold=manifold,
                                            value_and_grad_fn=value_and_grad_fn),
                                 ManifoldDims(6, 2))
         X = 0.05 * np.random.default_rng(4).standard_normal((6, target.dim))
-        X[[1, 4], target.n_b] = 0.5
+        X[[1, 4], 0 if manifold == "grassmann" else target.n_b] = 0.5
+        if manifold == "grassmann":
+            value = target.rows(X)
+            assert [j for j in range(6) if value(j) == -np.inf] == [1, 4]
+            for j in range(6):
+                assert value(j) == target(X[j].copy())
+            with pytest.raises(ValueError, match=NO_WALL):
+                target.values_and_gradients(X)
+            return
         values, gradients = target.values_and_gradients(X)
         assert [j for j in range(6) if values[j] == -np.inf] == [1, 4]
         for j in range(6):
@@ -459,6 +540,43 @@ class TestStackedKernel:
         assert target.value_and_gradient(X[1].copy()) == (-np.inf, None)
         with pytest.raises(DomainError):
             target.gradient(X[4].copy())
+
+    def test_grassmann_frame_rejected_leaves_its_neighbours(self, monkeypatch):
+        """A frame GrassmannPoint rejects is an exit of its row only, and g never sees it.
+
+        Inside the domain every frame passes GrassmannPoint's checks, so the
+        rejection is forced here for the middle row.
+        """
+        import cayley_mcmc.densities as densities
+
+        target = self._target("grassmann", "bingham", 6, 2)
+        X = 0.1 * np.random.default_rng(3).standard_normal((3, target.dim))
+        expected = [target(x.copy()) for x in X]
+        assert all(value > -np.inf for value in expected)
+        rejected = target.frames(X[1:2])[0]
+        real = densities.GrassmannPoint
+
+        def point(dims, Q):
+            if np.array_equal(Q, rejected):
+                raise DomainError("GrassmannPoint: top block not positive definite")
+            return real(dims=dims, Q=Q)
+
+        monkeypatch.setattr(densities, "GrassmannPoint", point)
+        seen = []
+        g = target.g
+
+        def fn(Q):
+            seen.append(Q.copy())
+            return g.fn(Q)
+
+        target = PullbackTarget(LogDensity(fn=fn, manifold="grassmann"), target.dims)
+        value = target.rows(X)
+        assert value(1) == -np.inf
+        for j in (0, 2):
+            assert value(j) == expected[j]
+        assert len(seen) == 2
+        for Q, j in zip(seen, (0, 2)):
+            assert np.array_equal(Q[0], target.frames(X[j:j + 1])[0])
 
 
 def same_bits(a, b) -> bool:
