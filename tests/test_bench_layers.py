@@ -9,6 +9,7 @@ import statistics
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -150,3 +151,69 @@ def test_each_loaded_tree_reaches_its_own_code(tmp_path):
         assert tree == name
         assert Path(path).is_relative_to(tmp_path / name / "src")
         assert message.startswith("sentinel: ") is (name == "b")
+
+
+class TestSecondsInside:
+    def test_each_method_sums_its_calls_and_is_put_back(self):
+        class Sink:
+            def slow(self, seconds):
+                time.sleep(seconds)
+                return seconds
+
+            def fast(self):
+                return 1
+
+        slow, fast = Sink.slow, Sink.fast
+        sink = Sink()
+        with bench_layers.seconds_inside(Sink, ("slow", "fast")) as spent:
+            assert [sink.slow(0.01) for _ in range(3)] == [0.01] * 3
+            assert sink.fast() == 1
+        assert 0.03 <= spent["slow"] < 1.0
+        assert 0.0 < spent["fast"] < 0.01
+        assert (Sink.slow, Sink.fast) == (slow, fast)
+
+    def test_an_error_inside_the_block_puts_the_methods_back(self):
+        class Sink:
+            def method(self):
+                return 1
+
+        method = Sink.method
+        with pytest.raises(KeyError):
+            with bench_layers.seconds_inside(Sink, ("method",)):
+                raise KeyError("op")
+        assert Sink.method is method
+
+
+def test_an_op_records_the_seconds_inside_the_draws_writer(tmp_path, monkeypatch):
+    """A forked writer's op: its posts and its write are timed, and the child's CPU is read."""
+    from cayley_mcmc import cli, experiments  # noqa: F401  (time_op calls cli from modules)
+
+    class Workload:
+        @staticmethod
+        def argv(seed, op_seed, out):
+            # 1 200 kept rows of V(3,50): 352 800 numbers, past the two-process floor.
+            return ["sample", "--p", "50", "--k", "3", "--iters", "1300", "--burn", "100",
+                    "--seed", str(op_seed), "--out", str(out)]
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name == "cayley_mcmc" or name.startswith("cayley_mcmc.")}
+    kept, write = experiments.DrawsWriter.kept, experiments.DrawsWriter.write
+    times = bench_layers.time_op(modules, Workload, tmp_path, 0)
+    assert len(forks) == 1
+    assert set(times) == {"s", "child_cpu_s", "kept_s", "write_s"}
+    assert 0.0 < times["kept_s"] and 0.0 < times["write_s"]
+    assert times["kept_s"] + times["write_s"] < times["s"]
+    assert times["child_cpu_s"] > 0.0
+    assert (experiments.DrawsWriter.kept, experiments.DrawsWriter.write) == (kept, write)
+    assert not (tmp_path / "op").exists()

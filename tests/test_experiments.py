@@ -1,5 +1,6 @@
 """End-to-end studies at reduced scale, plus the draws/report file formats."""
 
+import errno
 import json
 import os
 import signal
@@ -488,6 +489,49 @@ class TestStreamedDraws:
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs sched_setaffinity and two usable CPUs")
+    def test_the_child_runs_pinned_to_one_of_our_cpus(self, tmp_path):
+        """The child gets our highest-numbered CPU alone; our own affinity is left as it was."""
+        ours = os.sched_getaffinity(0)
+        target, run = _uniform_chain("stiefel", 50, 3, 437)
+        with experiments.DrawsWriter(target, run) as writer:
+            # Before the first post the child is alive, blocked on the pipe.
+            assert os.sched_getaffinity(writer._pid) == {max(ours)}
+            assert os.sched_getaffinity(0) == ours
+            batch = run_chain(target, np.zeros(target.dim), default_proposal(target), run,
+                              sink=writer)
+            write_draws_csv(tmp_path / "draws.csv", batch, "stiefel", writer=writer)
+        assert os.sched_getaffinity(0) == ours
+        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, "stiefel")
+
+    @pytest.mark.parametrize("failure", ["raises", "missing"])
+    def test_a_child_that_cannot_be_pinned_writes_the_same_bytes(self, tmp_path, monkeypatch,
+                                                                  failure):
+        """A pin that fails (a changed cpuset, or no sched_setaffinity) leaves the child unpinned."""
+        pinned = []
+
+        def refuse(pid, cpus):
+            pinned.append(pid)
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        if failure == "raises":
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        forks = TestFileFormats._count_forks(monkeypatch)
+        target, run = _uniform_chain("stiefel", 50, 3, 437)
+        with experiments.DrawsWriter(target, run) as writer:
+            if hasattr(os, "sched_getaffinity"):
+                assert os.sched_getaffinity(writer._pid) == os.sched_getaffinity(0)
+            batch = run_chain(target, np.zeros(target.dim), default_proposal(target), run,
+                              sink=writer)
+            write_draws_csv(tmp_path / "draws.csv", batch, "stiefel", writer=writer)
+        assert pinned == (forks if failure == "raises" else [])
+        assert len(forks) == 1
+        assert (tmp_path / "draws.csv").read_bytes() == self.oracle(batch, "stiefel")
 
     def test_two_writers_alive_at_once(self, tmp_path, monkeypatch):
         """The second writer's child inherits the first's post pipe; the first still exits."""

@@ -19,7 +19,9 @@ The gradient layers (``gradient.*``, ``value_and_gradient.*`` and
 exists: G(k,p) targets refuse it. An op is the
 workload's command line (``benchmark/workloads.py``) at workload seed
 OP_SEED and op seed 1000 * OP_SEED + round, timed in wall seconds, with the
-CPU seconds of the child processes it reaped (the draws writer's).
+CPU seconds of the child processes it reaped (the draws writer's) and the
+wall seconds spent inside the draws writer's ``kept`` (its posts to the
+child) and ``write`` (the wait for the child).
 
 The json's ``layers`` (or ``ops``) section holds, per name, each tree's
 times in every round, each round's ratio change / parent, the ratios' median
@@ -238,17 +240,48 @@ def layer_timers(tree: dict, scratch: Path) -> dict:
     return timers
 
 
+@contextlib.contextmanager
+def seconds_inside(cls, names):
+    """{name: seconds}: the wall time spent inside each method `names` of `cls` until exit.
+
+    The methods are wrapped on the class while the block runs and put back
+    after it.
+    """
+    spent = dict.fromkeys(names, 0.0)
+    methods = {name: cls.__dict__[name] for name in names}
+
+    def timed(name, method):
+        def call(*args, **kwargs):
+            start = time.perf_counter()
+            result = method(*args, **kwargs)
+            spent[name] += time.perf_counter() - start
+            return result
+        return call
+
+    try:
+        for name, method in methods.items():
+            setattr(cls, name, timed(name, method))
+        yield spent
+    finally:
+        for name, method in methods.items():
+            setattr(cls, name, method)
+
+
 def time_op(modules: dict, workload, scratch: Path, index: int) -> dict:
     """One op of `workload` with one tree's modules, its stdout silenced.
 
-    Returns its wall seconds and the user and system CPU seconds of the
-    child processes it reaped.
+    Returns its wall seconds, the user and system CPU seconds of the child
+    processes it reaped, and the wall seconds this process spent inside
+    `DrawsWriter.kept` (the posts to the writer's child) and
+    `DrawsWriter.write` (the wait for the child, and the file's copy).
     """
     out = scratch / "op"
     argv = workload.argv(OP_SEED, 1000 * OP_SEED + index, out)
     sys.modules.update(modules)
+    writer = modules["cayley_mcmc.experiments"].DrawsWriter
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+            seconds_inside(writer, ("kept", "write")) as inside:
         start = time.perf_counter()
         code = modules["cayley_mcmc.cli"].parse_and_dispatch(argv)
         wall = time.perf_counter() - start
@@ -257,7 +290,8 @@ def time_op(modules: dict, workload, scratch: Path, index: int) -> dict:
         raise SystemExit(f"{argv[0]} exited with {code}")
     shutil.rmtree(out)
     child_cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return {"s": wall, "child_cpu_s": child_cpu}
+    return {"s": wall, "child_cpu_s": child_cpu, "kept_s": inside["kept"],
+            "write_s": inside["write"]}
 
 
 def paired_rounds(timers: dict, rounds: int) -> tuple[dict, list]:
@@ -382,7 +416,9 @@ def main(argv=None) -> int:
                       for tree, modules in trees.items()}
             section = compare(timers, "s")
             section["unit"] = ("s: wall seconds per op; child_cpu_s: CPU seconds of the "
-                               "op's reaped children; ratio = change / parent per round")
+                               "op's reaped children; kept_s and write_s: wall seconds the "
+                               "op spent inside DrawsWriter.kept and DrawsWriter.write; "
+                               "ratio = change / parent per round")
         else:
             timers = {tree: layer_timers(modules, Path(scratch))
                       for tree, modules in trees.items()}
